@@ -310,6 +310,30 @@ def test_nc_graphs(capsys):
     assert doc["max_graphs"] == 1 and doc["component_partition"] == "1,2"
 
 
+README_EXAMPLES = [
+    (
+        ("predict", "--model", "ar1:p=0.5", "--y", "0.5", "--kmax", "4", "--format", "csv"),
+        "k,h,moment\n"
+        "1,1,1\n"
+        "2,1.66666666667,2.16666666667\n"
+        "3,3.66666666667,6.41666666667\n"
+        "4,9.07407407407,21.8101851852\n",
+    ),
+    (("nc", "complement", "--blocks", "1,2,4|3|5"), "1|2,3|4,5\n"),
+    (("nc", "count", "--k", "5", "--sizes", "1:1,2:2"), "10\n"),
+    (("nc", "graphs", "--blocks", "1,2|3"), "1\n1,3|2\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", README_EXAMPLES, ids=["predict-csv", "nc-complement", "nc-count", "nc-graphs"]
+)
+def test_readme_examples_print_exactly(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--quiet")
+    assert code == 0
+    assert out == expected
+
+
 def test_nc_usage_errors(capsys):
     assert run(capsys, "nc", "enumerate", "--quiet")[0] == 2  # missing --k
     assert run(capsys, "nc", "complement", "--blocks", "1,2|2,3", "--quiet")[0] == 2

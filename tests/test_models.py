@@ -14,6 +14,7 @@ from rmtlaw import (
     GaussianAR1,
     IIDSymmetric,
     ParseError,
+    SimConfig,
     TwoStateChain,
     UnsupportedModelError,
     as_finite_chain,
@@ -29,6 +30,7 @@ from rmtlaw import (
     model_text,
     parse_model,
     replicate_stream,
+    sample_matrix,
     sample_path,
     sample_paths,
     spectral_density,
@@ -152,6 +154,80 @@ def test_sampler_shapes_and_support():
     assert set(np.unique(sample_paths(TwoStateChain(alpha=0.5), 50, 20, stream))) <= {-1.0, 1.0}
     vals = set(np.unique(sample_paths(three_state_chain(), 50, 40, stream)))
     assert vals <= {-1.0, 0.0, 1.0}
+
+
+# Draws pinned so that a refactor of the samplers cannot silently change the
+# random streams.  Discrete states compare exactly; Gaussian values compare at
+# rtol 1e-10, since libm sin/cos/log may differ in the last bit across CPUs.
+PINNED_DISCRETE = {
+    "rademacher": (
+        IIDSymmetric(),
+        [[1, -1, 1, 1, -1], [1, -1, 1, 1, -1], [1, -1, -1, 1, -1], [-1, -1, -1, 1, 1],
+         [-1, 1, -1, -1, 1], [1, -1, 1, 1, -1], [-1, -1, 1, -1, 1]],
+    ),
+    "twostate": (
+        TwoStateChain(alpha=0.4),
+        [[-1, 1, -1, -1, 1], [1, 1, 1, -1, 1], [-1, 1, 1, 1, 1], [-1, 1, 1, -1, -1],
+         [-1, -1, 1, -1, -1], [-1, -1, -1, 1, -1], [-1, -1, -1, 1, 1]],
+    ),
+    "chain": (
+        three_state_chain(),
+        [[1, -1, 1, 1, 0], [1, -1, 1, 1, -1], [1, -1, 1, 1, -1], [-1, -1, 0, 1, 0],
+         [-1, 1, -1, 0, 0], [0, 0, 1, 1, -1], [0, 0, 1, 1, 1]],
+    ),
+}
+
+PINNED_GAUSSIAN = {
+    "standard-gaussian": (
+        IIDSymmetric(distribution="standard-gaussian"),
+        [[1.39516685218, 0.4722977021777, 0.7970454646007, 1.624674150917, 0.6228169761587],
+         [1.003101074346, -0.2856079810861, -1.196501900192, 0.9350683571024, 0.06314088019485],
+         [0.6434248774444, 0.942067075984, -0.6678977155354, -1.878706317075, -0.6654320162923],
+         [-0.1710197646071, 0.8761198737547, 0.7917997219269, -1.316222833054, -0.5331596619878],
+         [1.620325398248, -0.2394918096477, 0.7378669079177, 1.559247902371, -0.8432852122877],
+         [-1.053332394754, 0.738846254326, -0.01996410651092, -1.997135018702, 0.2123170090776],
+         [0.8243759239241, 1.482452712455, -0.1822509973657, 0.0450560223684, -0.06738327859739]],
+    ),
+    "ar1": (
+        GaussianAR1(p=0.6),
+        [[1.39516685218, 0.4722977021777, 0.7970454646007, 1.624674150917, 0.6228169761587],
+         [1.639580970785, 0.05489223643774, -0.4789742413928, 1.722859176232, 0.4242028898511],
+         [1.498488484426, 0.7865890026499, -0.821702717264, -0.4692495479206, -0.2778238791232],
+         [0.76227727897, 1.172849300594, 0.1404181471831, -1.334527995195, -0.5932220570642],
+         [1.75362668598, 0.512116132638, 0.6745444146441, 0.4466815247793, -1.030561404069],
+         [0.2095100957847, 0.8983466830436, 0.3887553635777, -1.329699100094, -0.4484832351791],
+         [0.7852067966101, 1.724970179791, 0.08745242025403, -0.7617746421617, -0.3229965639854]],
+    ),
+}
+
+PINNED_REMARK1_CHAIN = [
+    [1.139148964629, 0.3856294590081, 0.6507848966904, 1.326540889345, 0.5085279315773],
+    [1.2788740542, -0.009140610682917, -0.5206621589828, 1.324463620853, 0.2989113103445],
+    [1.094407121125, 0.6615717124194, -0.7326060832855, -0.6662141662352, -0.3210758359667],
+    [0.4262743252918, 0.950296160074, 0.1935839110734, -1.263817173922, -0.53753873043],
+    [1.358880239476, 0.3058017973964, 0.6185426497385, 0.4706461783559, -0.865062057298],
+    [-0.06537835943637, 0.6753440953864, 0.295154569775, -1.176864625491, -0.282400231769],
+    [0.5502326263354, 1.385924413459, 0.01870636877219, -0.5565728937957, -0.1888472891193],
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DISCRETE))
+def test_discrete_sampler_draws_are_pinned(name):
+    model, expected = PINNED_DISCRETE[name]
+    x = sample_paths(model, 7, 5, replicate_stream(11, 2))
+    assert np.array_equal(x, np.array(expected, dtype=float))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GAUSSIAN))
+def test_gaussian_sampler_draws_are_pinned(name):
+    model, expected = PINNED_GAUSSIAN[name]
+    x = sample_paths(model, 7, 5, replicate_stream(11, 2))
+    np.testing.assert_allclose(x, expected, rtol=1e-10, atol=0)
+
+
+def test_remark1_sample_matrix_draws_are_pinned():
+    config = SimConfig(model=three_state_chain(), m=7, n=5, seed=11, mode="remark1-gaussian")
+    np.testing.assert_allclose(sample_matrix(config, 2), PINNED_REMARK1_CHAIN, rtol=1e-10, atol=0)
 
 
 def empirical_lag_cov(x: np.ndarray, lag: int) -> float:
