@@ -25,9 +25,9 @@ from .combinatorics import (
     max_component_graphs,
     nc_partitions,
 )
-from .errors import NumericError, ParseError, RmtlawError
-from .models import h_finite, h_szego, parse_model
-from .moments import HSequence, QSequence, limiting_moment, qform_moment
+from .errors import DomainError, NumericError, ParseError, RmtlawError
+from .models import _fmt, _sig12, h_finite, h_szego, parse_model
+from .moments import HSequence, limiting_moment, qform_moment
 from .montecarlo import (
     MODE_DIRECT,
     MODE_REMARK1,
@@ -43,20 +43,20 @@ REL_LIMIT = 0.02
 _MODE_FLAGS = {"direct": MODE_DIRECT, "remark1": MODE_REMARK1}
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
-def _sig12(value: float) -> float:
-    return float(format(value, ".12g"))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _emit_doc(args: argparse.Namespace, doc: dict, text: str) -> None:
+    """Write ``doc`` as indented JSON under ``--format json``, else ``text``."""
+    _emit(json.dumps(doc, indent=2) + "\n" if args.format == "json" else text, args.out)
 
 
 def _log(args: argparse.Namespace, message: str) -> None:
@@ -107,7 +107,6 @@ def _add_output_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...],
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", required=True, help="model text, e.g. ar1:p=0.5")
     parser.add_argument("--m", type=int, default=100, help="matrix rows (window length)")
     parser.add_argument("--n", type=int, default=200, help="matrix columns (sample count)")
     parser.add_argument("--reps", type=int, default=100, help="replicate count")
@@ -143,6 +142,8 @@ def _workers(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if (args.model is None) == (args.h is None):
         raise ParseError("pass exactly one of --model or --h")
+    if args.kmax is not None and args.kmax < 1:
+        raise DomainError(f"need --kmax >= 1, got {args.kmax}")
     if args.model is not None:
         k_max = args.kmax if args.kmax is not None else 4
         h = h_szego(parse_model(args.model), k_max)
@@ -152,7 +153,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         h = HSequence(values)
     htilde = None
     if args.htilde is not None:
-        htilde = QSequence(_parse_floats(args.htilde, "--htilde"), origin="user")
+        htilde = HSequence(_parse_floats(args.htilde, "--htilde"))
     rows = []
     for k in range(1, k_max + 1):
         if htilde is None:
@@ -164,15 +165,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             row["htilde"] = _sig12(htilde.value(k))
         row["moment"] = _sig12(moment)
         rows.append(row)
-    if args.format == "json":
-        doc = {"y": _sig12(args.y), "k_max": k_max, "h_origin": h.origin, "rows": rows}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        cols = ["k", "h"] + (["htilde"] if htilde is not None else []) + ["moment"]
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) if c != "k" else str(row[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = {"y": _sig12(args.y), "k_max": k_max, "h_origin": h.origin, "rows": rows}
+    cols = ["k", "h"] + (["htilde"] if htilde is not None else []) + ["moment"]
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(_fmt(row[c]) if c != "k" else str(row[c]) for c in cols))
+    _emit_doc(args, doc, "\n".join(lines) + "\n")
     _log(args, f"predicted {k_max} moments at y = {_fmt(args.y)} from {h.origin} trace moments")
     return 0
 
@@ -189,7 +187,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+_REPORT_CONFIG = {"model": str, "m": int, "n": int, "k_max": int}
+_REPORT_ROW_FIELDS = ("predicted_finite", "empirical_mean", "empirical_stderr")
+
+
 def _load_report(path: str) -> dict:
+    """Read a simulate report and check every field compare reads: the
+    config's model, m, n and k_max, and rows k = 1..k_max, each with finite
+    predicted_finite, empirical_mean and empirical_stderr."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -197,8 +202,25 @@ def _load_report(path: str) -> dict:
         raise ParseError(f"cannot read report {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"report {path!r} is not valid JSON: {exc}") from exc
-    if "config" not in doc or "moments" not in doc:
-        raise ParseError(f"report {path!r} lacks config/moments")
+    try:
+        config, rows = doc["config"], doc["moments"]
+        valid = (
+            all(type(config[key]) is kind for key, kind in _REPORT_CONFIG.items())
+            and len(rows) == config["k_max"]
+            and [row["k"] for row in rows] == list(range(1, len(rows) + 1))
+            and all(
+                type(row[key]) in (int, float) and math.isfinite(row[key])
+                for row in rows
+                for key in _REPORT_ROW_FIELDS
+            )
+        )
+    except (KeyError, TypeError, OverflowError):  # OverflowError: an int too large for a float
+        valid = False
+    if not valid:
+        raise ParseError(
+            f"report {path!r} needs config model, m, n, k_max and moment rows "
+            f"k = 1..k_max with finite {', '.join(_REPORT_ROW_FIELDS)}"
+        )
     return doc
 
 
@@ -215,24 +237,20 @@ def _verdict(diff: float, stderr: float, reference: float) -> tuple[float | None
 
 def _emit_verdicts(args: argparse.Namespace, rows: list[dict], labels: tuple[str, str]) -> int:
     overall = "PASS" if all(r["verdict"] == "PASS" for r in rows) else "FAIL"
-    if args.format == "json":
-        doc = {"rows": rows, "overall": overall}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        cols = ["k", labels[0], labels[1], "stderr", "z", "rel", "verdict"]
-        lines = [",".join(cols)]
-        for row in rows:
-            cells = []
-            for col in cols:
-                val = row[col]
-                if isinstance(val, float):
-                    cells.append(_fmt(val))
-                elif val is None:
-                    cells.append("")
-                else:
-                    cells.append(str(val))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines) + "\n", args.out)
+    cols = ["k", labels[0], labels[1], "stderr", "z", "rel", "verdict"]
+    lines = [",".join(cols)]
+    for row in rows:
+        cells = []
+        for col in cols:
+            val = row[col]
+            if isinstance(val, float):
+                cells.append(_fmt(val))
+            elif val is None:
+                cells.append("")
+            else:
+                cells.append(str(val))
+        lines.append(",".join(cells))
+    _emit_doc(args, {"rows": rows, "overall": overall}, "\n".join(lines) + "\n")
     _log(args, f"compare: {overall}")
     return 0 if overall == "PASS" else 1
 
@@ -324,16 +342,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         workers=_workers(args),
         force=args.force,
     )
-    if args.format == "json":
-        doc = {
-            "bin_edges": [_sig12(e) for e in hist.bin_edges],
-            "counts": list(hist.counts),
-            "density": [_sig12(d) for d in hist.density],
-            "total": hist.total,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        _emit(hist.to_csv(), args.out)
+    doc = {
+        "bin_edges": [_sig12(e) for e in hist.bin_edges],
+        "counts": list(hist.counts),
+        "density": [_sig12(d) for d in hist.density],
+        "total": hist.total,
+    }
+    _emit_doc(args, doc, hist.to_csv())
     _log(args, f"histogrammed {hist.total} eigenvalues into {len(hist.counts)} bins")
     return 0
 
@@ -343,31 +358,20 @@ def cmd_nc(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ParseError("nc enumerate needs --k")
         parts = nc_partitions(args.k)
-        if args.format == "json":
-            doc = {"k": args.k, "count": len(parts), "partitions": [str(p) for p in parts]}
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        else:
-            _emit("".join(f"{p}\n" for p in parts), args.out)
+        doc = {"k": args.k, "count": len(parts), "partitions": [str(p) for p in parts]}
+        _emit_doc(args, doc, "".join(f"{p}\n" for p in parts))
         return 0
     if args.action == "complement":
         if args.blocks is None:
             raise ParseError("nc complement needs --blocks")
         comp = kreweras_complement(Partition.parse(args.blocks))
-        if args.format == "json":
-            doc = {"partition": args.blocks, "complement": str(comp)}
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        else:
-            _emit(f"{comp}\n", args.out)
+        _emit_doc(args, {"partition": args.blocks, "complement": str(comp)}, f"{comp}\n")
         return 0
     if args.action == "count":
         if args.k is None or args.sizes is None:
             raise ParseError("nc count needs --k and --sizes")
         count = count_nc_by_block_sizes(args.k, _parse_sizes(args.sizes))
-        if args.format == "json":
-            doc = {"k": args.k, "sizes": args.sizes, "count": count}
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        else:
-            _emit(f"{count}\n", args.out)
+        _emit_doc(args, {"k": args.k, "sizes": args.sizes, "count": count}, f"{count}\n")
         return 0
     if args.action == "graphs":
         if args.blocks is None:
@@ -375,18 +379,15 @@ def cmd_nc(args: argparse.Namespace) -> int:
         partition = Partition.parse(args.blocks)
         graphs = max_component_graphs(partition)
         component = str(graphs[0].component_partition()) if len(graphs) == 1 else None
-        if args.format == "json":
-            doc = {
-                "partition": args.blocks,
-                "max_graphs": len(graphs),
-                "component_partition": component,
-            }
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        else:
-            text = f"{len(graphs)}\n"
-            if component is not None:
-                text += f"{component}\n"
-            _emit(text, args.out)
+        doc = {
+            "partition": args.blocks,
+            "max_graphs": len(graphs),
+            "component_partition": component,
+        }
+        text = f"{len(graphs)}\n"
+        if component is not None:
+            text += f"{component}\n"
+        _emit_doc(args, doc, text)
         return 0
     raise ParseError(f"unknown nc action {args.action!r}")
 
@@ -409,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo moment report")
+    p_sim.add_argument("--model", required=True, help="model text, e.g. ar1:p=0.5")
     _add_sim_flags(p_sim)
     p_sim.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     p_sim.add_argument("--quiet", action="store_true", help="suppress log lines on stderr")
@@ -417,14 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="verdict table: empirical vs. predicted moments")
     p_cmp.add_argument("reports", nargs="*", help="0 (inline run), 1 (self), or 2 report paths")
     p_cmp.add_argument("--model", help="model text for the inline run")
-    p_cmp.add_argument("--m", type=int, default=100)
-    p_cmp.add_argument("--n", type=int, default=200)
-    p_cmp.add_argument("--reps", type=int, default=100)
-    p_cmp.add_argument("--kmax", type=int, default=4)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="direct")
-    p_cmp.add_argument("--workers", type=int, default=0)
-    p_cmp.add_argument("--force", action="store_true")
+    _add_sim_flags(p_cmp)
     p_cmp.add_argument(
         "--y", type=float, default=None, help="recompute predictions at this aspect ratio"
     )
@@ -432,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_spec = sub.add_parser("spectrum", help="pooled eigenvalue histogram")
+    p_spec.add_argument("--model", required=True, help="model text, e.g. ar1:p=0.5")
     _add_sim_flags(p_spec)
     p_spec.add_argument("--bins", type=int, default=50, help="bin count")
     p_spec.add_argument("--range", help="histogram range lo:hi (default 0 to 1.05*max)")

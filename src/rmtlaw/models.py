@@ -4,6 +4,8 @@ Four variants: symmetric i.i.d. entries, the Gaussian AR(1) process, the
 symmetric two-state Markov chain, and user-supplied finite Markov chains.
 All have zero mean and geometrically decaying autocovariance R(j), so the
 m x m covariance of a length-m window is the Toeplitz matrix R(|i - i'|).
+Each variant is one class that owns its autocovariances, decay rate,
+spectral density, path sampler and text form.
 
 Trace moments H_k come either from eigenvalues of a finite window
 (``h_finite``) or from the spectral density f of the autocovariance sequence
@@ -51,8 +53,63 @@ _STATIONARY_TOL = 1e-10
 _MEAN_TOL = 1e-10
 
 
+def _fmt(value: float) -> str:
+    return format(value, ".12g")
+
+
+def _sig12(value: float) -> float:
+    return float(_fmt(value))
+
+
+def _power_means(eig: np.ndarray, k_max: int) -> np.ndarray:
+    """(1/m) sum_i eig_i^k for k = 1..k_max: the k-th spectral moment of a
+    symmetric matrix with eigenvalues ``eig``."""
+    powers = eig[None, :] ** np.arange(1, k_max + 1)[:, None]
+    return powers.mean(axis=1)
+
+
+class StationaryModel:
+    """A zero-mean stationary column process.  Each model defines
+    ``autocovariances(max_lag)``, ``decay_rate()``, ``sample_paths(m, count,
+    stream)`` and ``text()``, and may override the two defaults below; the
+    module-level functions of the same names check arguments and call these.
+    """
+
+    def spectral_density(self, x):
+        raise UnsupportedModelError(
+            "spectral density is implemented only for models with R(j) = rho^j "
+            f"(i.i.d., AR(1), two-state chain); got {type(self).__name__}"
+        )
+
+    def chain_form(self) -> FiniteMarkovChain | None:
+        """The process as an explicit finite-state chain; None if Gaussian."""
+        return None
+
+
+class _GeometricModel(StationaryModel):
+    """A model with R(j) = variance * rho^|j|."""
+
+    variance = 1.0
+    rho = 0.0
+
+    def autocovariances(self, max_lag: int) -> np.ndarray:
+        return self.variance * np.float64(self.rho) ** np.arange(max_lag + 1)
+
+    def decay_rate(self) -> float:
+        return abs(self.rho)
+
+    def spectral_density(self, x):
+        rho = self.rho
+        xv = np.asarray(x, dtype=float)
+        denom = 1.0 - 2.0 * rho * np.cos(2.0 * np.pi * xv) + rho * rho
+        out = self.variance * (1.0 - rho * rho) / denom
+        if np.ndim(x) == 0:
+            return float(out)
+        return out
+
+
 @dataclass(frozen=True)
-class IIDSymmetric:
+class IIDSymmetric(_GeometricModel):
     """Independent symmetric entries with the given variance."""
 
     distribution: str = RADEMACHER
@@ -69,12 +126,31 @@ class IIDSymmetric:
             raise DomainError(f"variance must be positive, got {self.variance!r}")
         object.__setattr__(self, "variance", v)
 
+    def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
+        sig = math.sqrt(self.variance)
+        if self.distribution == RADEMACHER:
+            return np.where(stream.random((m, count)) < 0.5, -sig, sig)
+        return sig * standard_normals(stream, (m, count))
+
+    def text(self) -> str:
+        return f"iid:dist={self.distribution},var={_fmt(self.variance)}"
+
+    def chain_form(self) -> FiniteMarkovChain | None:
+        """Rademacher entries are a chain on +-sqrt(var) that forgets its state."""
+        if self.distribution != RADEMACHER:
+            return None
+        s = math.sqrt(self.variance)
+        return FiniteMarkovChain(
+            states=(s, -s), transition=((0.5, 0.5), (0.5, 0.5)), stationary=(0.5, 0.5)
+        )
+
 
 @dataclass(frozen=True)
-class GaussianAR1:
+class GaussianAR1(_GeometricModel):
     """Stationary Gaussian sequence with Cov(a_i, a_i') = p^|i - i'|."""
 
     p: float
+    rho = property(lambda self: self.p)
 
     def __post_init__(self) -> None:
         p = float(self.p)
@@ -82,13 +158,26 @@ class GaussianAR1:
             raise DomainError(f"AR(1) coefficient needs |p| < 1, got {self.p!r}")
         object.__setattr__(self, "p", p)
 
+    def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
+        z = standard_normals(stream, (m, count))
+        x = np.empty((m, count))
+        x[0] = z[0]
+        c = math.sqrt(1.0 - self.p * self.p)
+        for i in range(1, m):
+            x[i] = self.p * x[i - 1] + c * z[i]
+        return x
+
+    def text(self) -> str:
+        return f"ar1:p={_fmt(self.p)}"
+
 
 @dataclass(frozen=True)
-class TwoStateChain:
+class TwoStateChain(_GeometricModel):
     """Stationary Markov chain on {+1, -1} staying put with probability
     (1 + alpha)/2, so Cov(a_1, a_{1+j}) = alpha^j."""
 
     alpha: float
+    rho = property(lambda self: self.alpha)
 
     def __post_init__(self) -> None:
         a = float(self.alpha)
@@ -96,9 +185,30 @@ class TwoStateChain:
             raise DomainError(f"two-state parameter needs -1 < alpha < 1, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 
+    def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
+        u = stream.random((m, count))
+        x = np.empty((m, count))
+        x[0] = np.where(u[0] < 0.5, 1.0, -1.0)
+        stay = (1.0 + self.alpha) / 2.0
+        for i in range(1, m):
+            x[i] = x[i - 1] * np.where(u[i] < stay, 1.0, -1.0)
+        return x
+
+    def text(self) -> str:
+        return f"twostate:alpha={_fmt(self.alpha)}"
+
+    def chain_form(self) -> FiniteMarkovChain:
+        stay = (1.0 + self.alpha) / 2.0
+        flip = (1.0 - self.alpha) / 2.0
+        return FiniteMarkovChain(
+            states=(1.0, -1.0),
+            transition=((stay, flip), (flip, stay)),
+            stationary=(0.5, 0.5),
+        )
+
 
 @dataclass(frozen=True)
-class FiniteMarkovChain:
+class FiniteMarkovChain(StationaryModel):
     """Stationary chain on user-supplied real state values.
 
     ``transition`` must be row-stochastic (rows sum to 1 within 1e-12),
@@ -141,43 +251,10 @@ class FiniteMarkovChain:
         object.__setattr__(self, "transition", transition)
         object.__setattr__(self, "stationary", stationary)
 
-
-StationaryModel = Union[IIDSymmetric, GaussianAR1, TwoStateChain, FiniteMarkovChain]
-ChainModel = Union[TwoStateChain, FiniteMarkovChain]
-
-
-def as_finite_chain(model: ChainModel) -> FiniteMarkovChain:
-    """The explicit state-space form of a chain model."""
-    if isinstance(model, FiniteMarkovChain):
-        return model
-    if isinstance(model, TwoStateChain):
-        stay = (1.0 + model.alpha) / 2.0
-        flip = (1.0 - model.alpha) / 2.0
-        return FiniteMarkovChain(
-            states=(1.0, -1.0),
-            transition=((stay, flip), (flip, stay)),
-            stationary=(0.5, 0.5),
-        )
-    raise DomainError(f"not a chain model: {model!r}")
-
-
-def autocovariances(model: StationaryModel, max_lag: int) -> np.ndarray:
-    """R(0..max_lag) of the column process."""
-    if max_lag < 0:
-        raise DomainError(f"need max_lag >= 0, got {max_lag}")
-    lags = np.arange(max_lag + 1)
-    if isinstance(model, IIDSymmetric):
-        out = np.zeros(max_lag + 1)
-        out[0] = model.variance
-        return out
-    if isinstance(model, GaussianAR1):
-        return np.float64(model.p) ** lags
-    if isinstance(model, TwoStateChain):
-        return np.float64(model.alpha) ** lags
-    if isinstance(model, FiniteMarkovChain):
-        pi = np.array(model.stationary)
-        states = np.array(model.states)
-        pmat = np.array(model.transition)
+    def autocovariances(self, max_lag: int) -> np.ndarray:
+        pi = np.array(self.stationary)
+        states = np.array(self.states)
+        pmat = np.array(self.transition)
         left = pi * states
         w = states.copy()
         out = np.empty(max_lag + 1)
@@ -185,22 +262,54 @@ def autocovariances(model: StationaryModel, max_lag: int) -> np.ndarray:
             out[j] = left @ w
             w = pmat @ w
         return out
-    raise DomainError(f"unknown model {model!r}")
+
+    def decay_rate(self) -> float:
+        """The second-largest transition eigenvalue modulus."""
+        mods = np.sort(np.abs(np.linalg.eigvals(np.array(self.transition))))[::-1]
+        return float(mods[1]) if len(mods) > 1 else 0.0
+
+    def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
+        states = np.array(self.states)
+        cum_rows = np.cumsum(np.array(self.transition), axis=1)
+        cum_pi = np.cumsum(np.array(self.stationary))
+        nstates = len(states)
+        u = stream.random((m, count))
+        x = np.empty((m, count))
+        idx = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), nstates - 1)
+        x[0] = states[idx]
+        for i in range(1, m):
+            idx = np.minimum((u[i][:, None] >= cum_rows[idx]).sum(axis=1), nstates - 1)
+            x[i] = states[idx]
+        return x
+
+    def text(self) -> str:
+        return self.source or f"chain:states={len(self.states)}"
+
+    def chain_form(self) -> FiniteMarkovChain:
+        return self
+
+
+ChainModel = Union[TwoStateChain, FiniteMarkovChain]
+
+
+def as_finite_chain(model: ChainModel) -> FiniteMarkovChain:
+    """The explicit state-space form of a chain model."""
+    if not isinstance(model, (TwoStateChain, FiniteMarkovChain)):
+        raise DomainError(f"not a chain model: {model!r}")
+    return model.chain_form()
+
+
+def autocovariances(model: StationaryModel, max_lag: int) -> np.ndarray:
+    """R(0..max_lag) of the column process."""
+    if max_lag < 0:
+        raise DomainError(f"need max_lag >= 0, got {max_lag}")
+    return model.autocovariances(max_lag)
 
 
 def decay_rate(model: StationaryModel) -> float:
     """Geometric base dominating |R(j)|: 0, |p|, |alpha|, or the chain's
     second-largest transition eigenvalue modulus."""
-    if isinstance(model, IIDSymmetric):
-        return 0.0
-    if isinstance(model, GaussianAR1):
-        return abs(model.p)
-    if isinstance(model, TwoStateChain):
-        return abs(model.alpha)
-    if isinstance(model, FiniteMarkovChain):
-        mods = np.sort(np.abs(np.linalg.eigvals(np.array(model.transition))))[::-1]
-        return float(mods[1]) if len(mods) > 1 else 0.0
-    raise DomainError(f"unknown model {model!r}")
+    return model.decay_rate()
 
 
 def covariance_matrix(model: StationaryModel, m: int) -> np.ndarray:
@@ -222,22 +331,8 @@ def h_finite(model: StationaryModel, m: int, k_max: int) -> HSequence:
         eig = np.linalg.eigvalsh(t)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed for m={m}: {exc}") from exc
-    powers = eig[None, :] ** np.arange(1, k_max + 1)[:, None]
-    values = powers.mean(axis=1)
+    values = _power_means(eig, k_max)
     return HSequence(tuple(float(v) for v in values), origin=finite_trace_origin(m))
-
-
-def _geometric_rate(model: StationaryModel) -> float:
-    if isinstance(model, IIDSymmetric):
-        return 0.0
-    if isinstance(model, GaussianAR1):
-        return model.p
-    if isinstance(model, TwoStateChain):
-        return model.alpha
-    raise UnsupportedModelError(
-        "spectral density is implemented only for models with R(j) = rho^j "
-        f"(i.i.d., AR(1), two-state chain); got {type(model).__name__}"
-    )
 
 
 def spectral_density(model: StationaryModel, x):
@@ -247,13 +342,7 @@ def spectral_density(model: StationaryModel, x):
     variance * (1 - rho^2) / (1 - 2 rho cos(2 pi x) + rho^2).  Accepts a
     scalar or an array; general finite chains are not supported.
     """
-    rho = _geometric_rate(model)
-    scale = model.variance if isinstance(model, IIDSymmetric) else 1.0
-    xv = np.asarray(x, dtype=float)
-    out = scale * (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(2.0 * np.pi * xv) + rho * rho)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return model.spectral_density(x)
 
 
 def h_szego(model: StationaryModel, k_max: int) -> HSequence:
@@ -262,17 +351,17 @@ def h_szego(model: StationaryModel, k_max: int) -> HSequence:
     density peaks too sharply for this fixed rule."""
     if not 1 <= k_max <= DEFAULT_MAX_K:
         raise BoundError(f"need 1 <= k_max <= {DEFAULT_MAX_K}, got {k_max}")
-    rho = _geometric_rate(model)
-    if abs(rho) > MAX_SZEGO_DECAY:
-        raise DomainError(
-            f"|rho| = {abs(rho)} > {MAX_SZEGO_DECAY}: density too peaked for the fixed rule"
-        )
     grid = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
+    fx = spectral_density(model, grid)  # first, so chains raise UnsupportedModelError
+    rate = decay_rate(model)
+    if rate > MAX_SZEGO_DECAY:
+        raise DomainError(
+            f"|rho| = {rate} > {MAX_SZEGO_DECAY}: density too peaked for the fixed rule"
+        )
     weights = np.ones(SIMPSON_PANELS + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= 1.0 / (3.0 * SIMPSON_PANELS)
-    fx = spectral_density(model, grid)
     values = tuple(float(weights @ fx**k) for k in range(1, k_max + 1))
     return HSequence(values, origin=ORIGIN_SZEGO)
 
@@ -299,41 +388,7 @@ def sample_paths(
     """``count`` independent stationary paths of length m, as columns."""
     if m < 1 or count < 1:
         raise DomainError(f"need m >= 1 and count >= 1, got m={m}, count={count}")
-    if isinstance(model, IIDSymmetric):
-        sig = math.sqrt(model.variance)
-        if model.distribution == RADEMACHER:
-            return np.where(stream.random((m, count)) < 0.5, -sig, sig)
-        return sig * standard_normals(stream, (m, count))
-    if isinstance(model, GaussianAR1):
-        z = standard_normals(stream, (m, count))
-        x = np.empty((m, count))
-        x[0] = z[0]
-        c = math.sqrt(1.0 - model.p * model.p)
-        for i in range(1, m):
-            x[i] = model.p * x[i - 1] + c * z[i]
-        return x
-    if isinstance(model, TwoStateChain):
-        u = stream.random((m, count))
-        x = np.empty((m, count))
-        x[0] = np.where(u[0] < 0.5, 1.0, -1.0)
-        stay = (1.0 + model.alpha) / 2.0
-        for i in range(1, m):
-            x[i] = x[i - 1] * np.where(u[i] < stay, 1.0, -1.0)
-        return x
-    if isinstance(model, FiniteMarkovChain):
-        states = np.array(model.states)
-        cum_rows = np.cumsum(np.array(model.transition), axis=1)
-        cum_pi = np.cumsum(np.array(model.stationary))
-        nstates = len(states)
-        u = stream.random((m, count))
-        x = np.empty((m, count))
-        idx = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), nstates - 1)
-        x[0] = states[idx]
-        for i in range(1, m):
-            idx = np.minimum((u[i][:, None] >= cum_rows[idx]).sum(axis=1), nstates - 1)
-            x[i] = states[idx]
-        return x
-    raise DomainError(f"unknown model {model!r}")
+    return model.sample_paths(m, count, stream)
 
 
 def sample_path(model: StationaryModel, m: int, stream: np.random.Generator) -> np.ndarray:
@@ -370,7 +425,7 @@ def isserlis_moment(cov, indices: Sequence[int]) -> float:
         return 1.0
     if any(i < 1 for i in idx):
         raise DomainError("indices are 1-based")
-    if isinstance(cov, (IIDSymmetric, GaussianAR1, TwoStateChain, FiniteMarkovChain)):
+    if isinstance(cov, StationaryModel):
         r = autocovariances(cov, max(idx) - 1)
 
         def lookup(a: int, b: int) -> float:
@@ -495,13 +550,8 @@ def expected_moments(model: StationaryModel, m: int, n: int, k_max: int) -> np.n
         raise BoundError(f"need 1 <= k_max <= {MAX_EXPECTED_K}, got {k_max}")
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if isinstance(model, IIDSymmetric) and model.distribution == RADEMACHER:
-        s = math.sqrt(model.variance)
-        model = FiniteMarkovChain(
-            states=(s, -s), transition=((0.5, 0.5), (0.5, 0.5)), stationary=(0.5, 0.5)
-        )
-    if isinstance(model, (TwoStateChain, FiniteMarkovChain)):
-        chain = as_finite_chain(model)
+    chain = model.chain_form()
+    if chain is not None:
         entries = len(chain.states) ** k_max * 2**k_max
         if entries > MAX_TRANSFER_ENTRIES:
             raise BoundError(
@@ -512,7 +562,7 @@ def expected_moments(model: StationaryModel, m: int, n: int, k_max: int) -> np.n
         def partition_sum(partition: Partition) -> float:
             return _chain_partition_sum(chain, m, partition)
 
-    elif isinstance(model, (IIDSymmetric, GaussianAR1)):
+    else:
         t = covariance_matrix(model, m)
         traces = []
         power = np.eye(m)
@@ -523,8 +573,6 @@ def expected_moments(model: StationaryModel, m: int, n: int, k_max: int) -> np.n
         def partition_sum(partition: Partition) -> float:
             return _gaussian_partition_sum(partition, traces)
 
-    else:
-        raise DomainError(f"unknown model {model!r}")
     out = np.empty(k_max)
     for k in range(1, k_max + 1):
         total = 0.0
@@ -596,21 +644,9 @@ def check_product_decay(
     return DecayReport(k, trials, span, rate, max_ratio, worst, worst_rem)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
 def model_text(model: StationaryModel) -> str:
     """Canonical text form, the inverse of ``parse_model``."""
-    if isinstance(model, IIDSymmetric):
-        return f"iid:dist={model.distribution},var={_fmt(model.variance)}"
-    if isinstance(model, GaussianAR1):
-        return f"ar1:p={_fmt(model.p)}"
-    if isinstance(model, TwoStateChain):
-        return f"twostate:alpha={_fmt(model.alpha)}"
-    if isinstance(model, FiniteMarkovChain):
-        return model.source or f"chain:states={len(model.states)}"
-    raise DomainError(f"unknown model {model!r}")
+    return model.text()
 
 
 def _parse_args(argstr: str, text: str) -> dict[str, str]:

@@ -42,7 +42,8 @@ def finite_trace_origin(m: int) -> str:
 class HSequence:
     """Trace moments H_1..H_K of a covariance family, H_k = (1/m) tr(T^k) or
     its limit.  ``origin`` records where the values came from: "finite-trace(m)",
-    "szego-quadrature", "closed-form", or "user"."""
+    "szego-quadrature", "closed-form", or "user".  The mixed trace moments Q
+    of ``qform_moment`` use the same type under the name ``QSequence``."""
 
     values: tuple[float, ...]
     origin: str = ORIGIN_USER
@@ -50,7 +51,9 @@ class HSequence:
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
         if not vals:
-            raise DomainError("an H sequence needs at least H_1")
+            raise DomainError("a trace sequence needs at least one value")
+        if not all(math.isfinite(v) for v in vals):
+            raise DomainError(f"trace moments must be finite, got {vals}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -62,27 +65,7 @@ class HSequence:
         return self.values[k - 1]
 
 
-@dataclass(frozen=True)
-class QSequence:
-    """Mixed trace moments of a covariance family against a fixed quadratic
-    form, same layout as HSequence."""
-
-    values: tuple[float, ...]
-    origin: str = ORIGIN_USER
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
-            raise DomainError("a Q sequence needs at least Q_1")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def value(self, k: int) -> float:
-        if not 1 <= k <= len(self.values):
-            raise DomainError(f"Q_{k} not available, sequence has length {len(self.values)}")
-        return self.values[k - 1]
+QSequence = HSequence
 
 
 @dataclass(frozen=True)
@@ -112,7 +95,7 @@ class AspectRatio:
 
 
 Ratio = Union[float, AspectRatio]
-Traces = Union[HSequence, QSequence, Sequence[float]]
+Traces = Union[HSequence, Sequence[float]]
 
 
 def _ratio_value(y: Ratio) -> float:
@@ -131,7 +114,7 @@ def _ratio_fraction(y: Ratio) -> Fraction:
 
 
 def _trace_values(h: Traces, k: int, what: str = "H", exact: bool = False) -> tuple:
-    if isinstance(h, (HSequence, QSequence)):
+    if isinstance(h, HSequence):
         values: tuple = h.values
     elif exact:
         values = tuple(h)  # keep ints and Fractions intact

@@ -16,12 +16,16 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import BudgetError, DomainError, NumericError, UnsupportedModelError
 from .models import (
     StationaryModel,
+    _fmt,
+    _power_means,
+    _sig12,
     covariance_matrix,
     h_finite,
     h_szego,
@@ -143,8 +147,7 @@ def spectral_moments(w: np.ndarray, k_max: int) -> np.ndarray:
         eig = np.linalg.eigvalsh(w)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    powers = eig[None, :] ** np.arange(1, k_max + 1)[:, None]
-    return powers.mean(axis=1)
+    return _power_means(eig, k_max)
 
 
 def _replicate_eigenvalues(config: SimConfig, replicate: int) -> np.ndarray:
@@ -156,13 +159,15 @@ def _replicate_eigenvalues(config: SimConfig, replicate: int) -> np.ndarray:
         raise NumericError(f"eigendecomposition failed on replicate {replicate}: {exc}") from exc
 
 
-def _moments_from_eigenvalues(eig: np.ndarray, k_max: int) -> np.ndarray:
-    powers = eig[None, :] ** np.arange(1, k_max + 1)[:, None]
-    return powers.mean(axis=1)
-
-
-def _sig12(value: float) -> float:
-    return float(format(value, ".12g"))
+def _replicate_spectra(config: SimConfig, workers: int) -> list[np.ndarray]:
+    """Eigenvalues of W for every replicate, in replicate order.  One worker
+    runs them on the caller's thread, more run them on a thread pool; each
+    replicate draws from its own (seed, replicate) stream, so the result does
+    not depend on the worker count."""
+    if workers == 1:
+        return [_replicate_eigenvalues(config, rep) for rep in range(config.replicates)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(partial(_replicate_eigenvalues, config), range(config.replicates)))
 
 
 @dataclass(frozen=True)
@@ -246,21 +251,8 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
         else [limiting_moment(k, y, limit_values) for k in range(1, config.k_max + 1)]
     )
 
-    samples = np.empty((config.replicates, config.k_max))
-    if workers == 1:
-        for rep in range(config.replicates):
-            samples[rep] = _moments_from_eigenvalues(
-                _replicate_eigenvalues(config, rep), config.k_max
-            )
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                rep: pool.submit(_replicate_eigenvalues, config, rep)
-                for rep in range(config.replicates)
-            }
-            for rep, future in futures.items():
-                samples[rep] = _moments_from_eigenvalues(future.result(), config.k_max)
-
+    spectra = _replicate_spectra(config, workers)
+    samples = np.array([_power_means(eig, config.k_max) for eig in spectra])
     means = samples.mean(axis=0)
     if config.replicates > 1:
         stderrs = samples.std(axis=0, ddof=1) / math.sqrt(config.replicates)
@@ -293,17 +285,8 @@ def sample_spectra(config: SimConfig, workers: int = 1, force: bool = False) -> 
     check_budget(config, force=force)
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    if workers == 1:
-        return [
-            SpectrumSample(rep, _replicate_eigenvalues(config, rep))
-            for rep in range(config.replicates)
-        ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            rep: pool.submit(_replicate_eigenvalues, config, rep)
-            for rep in range(config.replicates)
-        }
-        return [SpectrumSample(rep, futures[rep].result()) for rep in sorted(futures)]
+    spectra = _replicate_spectra(config, workers)
+    return [SpectrumSample(rep, eig) for rep, eig in enumerate(spectra)]
 
 
 @dataclass(frozen=True)
@@ -319,8 +302,8 @@ class Histogram:
         lines = ["bin_lo,bin_hi,count,density"]
         for i, count in enumerate(self.counts):
             lines.append(
-                f"{format(self.bin_edges[i], '.12g')},{format(self.bin_edges[i + 1], '.12g')},"
-                f"{count},{format(self.density[i], '.12g')}"
+                f"{_fmt(self.bin_edges[i])},{_fmt(self.bin_edges[i + 1])},"
+                f"{count},{_fmt(self.density[i])}"
             )
         return "\n".join(lines) + "\n"
 

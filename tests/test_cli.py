@@ -80,11 +80,17 @@ def test_predict_weighted_form(capsys):
         ("predict", "--model", "ar1:p=0.5"),  # missing --y
         ("predict", "--model", "ar1:p=0.5", "--y", "1", "--unknown-flag"),
         ("predict", "--h", "1,abc", "--y", "1"),
+        ("predict", "--h", "nan,1", "--y", "0.5", "--kmax", "2"),  # non-finite traces
+        ("predict", "--h", "1,inf", "--y", "0.5"),
+        ("predict", "--h", "1,-inf", "--y", "0.5"),
+        ("predict", "--h", "1,2", "--htilde", "1,nan", "--y", "0.5"),
+        ("predict", "--h", "1,2", "--y", "1", "--kmax", "0"),
     ],
 )
 def test_predict_usage_errors(capsys, argv):
-    code, _, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv)
     assert code == 2
+    assert out == ""
 
 
 def test_predict_model_without_spectral_density_is_usage_error(capsys, tmp_path):
@@ -237,6 +243,39 @@ def test_compare_mismatched_reports_usage_error(capsys, self_report, tmp_path):
     assert run(capsys, "compare", str(self_report), str(other), "--quiet")[0] == 2
 
 
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["row-missing-predicted-finite", "string-empirical-mean", "no-k-max", "k-rows-differ"],
+)
+def test_compare_rejects_malformed_reports(capsys, self_report, tmp_path, damage):
+    doc = json.loads(self_report.read_text())
+    a, b = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    if damage == "row-missing-predicted-finite":
+        del a["moments"][1]["predicted_finite"]
+        reports = [a]
+    elif damage == "string-empirical-mean":
+        a["moments"][0]["empirical_mean"] = "1.0"
+        reports = [a]
+    elif damage == "no-k-max":
+        a["config"], b["config"] = _without(a["config"], "k_max"), _without(b["config"], "k_max")
+        reports = [a, b]
+    else:
+        b["moments"][2]["k"] = 4
+        reports = [a, b]
+    paths = []
+    for i, report in enumerate(reports):
+        path = tmp_path / f"report{i}.json"
+        path.write_text(json.dumps(report))
+        paths.append(str(path))
+    code, out, err = run(capsys, "compare", *paths, "--quiet")
+    assert code == 2
+    assert out == "" and err.startswith("rmtlaw: report ")
+
+
 def test_compare_usage_errors(capsys, self_report):
     assert run(capsys, "compare", "a", "b", "c", "--quiet")[0] == 2
     assert run(capsys, "compare", "--quiet")[0] == 2  # inline without --model
@@ -341,6 +380,23 @@ def test_nc_usage_errors(capsys):
     assert run(capsys, "nc", "count", "--k", "4", "--sizes", "4-1", "--quiet")[0] == 2
     assert run(capsys, "nc", "count", "--k", "4", "--sizes", "3:1", "--quiet")[0] == 2
     assert run(capsys, "nc", "graphs", "--blocks", "1,2,3,4,5,6,7,8,9", "--quiet")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "--model", "ar1:p=0.5", "--y", "0.5"),
+        ("simulate", *SIM_ARGS),
+        ("spectrum", "--model", "iid:", "--m", "24", "--n", "48", "--reps", "2"),
+    ],
+    ids=["predict", "simulate", "spectrum"],
+)
+def test_out_into_missing_directory_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target), "--quiet")
+    assert code == 2
+    assert out == "" and "cannot write" in err
+    assert not target.exists()
 
 
 def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):

@@ -135,8 +135,10 @@ def test_qform_vanishes_on_zero_traces():
 def test_sequences_validate():
     with pytest.raises(DomainError):
         HSequence(())
-    with pytest.raises(DomainError):
-        QSequence(())
+    assert QSequence is HSequence
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            HSequence((1.0, bad))
     seq = HSequence((1.0, 2.0))
     assert len(seq) == 2 and seq.value(2) == 2.0 and seq.origin == "user"
     with pytest.raises(DomainError):
