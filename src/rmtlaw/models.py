@@ -159,12 +159,12 @@ class GaussianAR1(_GeometricModel):
         object.__setattr__(self, "p", p)
 
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
-        z = standard_normals(stream, (m, count))
-        x = np.empty((m, count))
-        x[0] = z[0]
-        c = math.sqrt(1.0 - self.p * self.p)
+        # x[i] = p * x[i-1] + c * z[i], built in place in z: the same two
+        # products and the same (commutative) sum per entry
+        x = standard_normals(stream, (m, count))
+        x[1:] *= math.sqrt(1.0 - self.p * self.p)
         for i in range(1, m):
-            x[i] = self.p * x[i - 1] + c * z[i]
+            x[i] += self.p * x[i - 1]
         return x
 
     def text(self) -> str:
@@ -186,13 +186,12 @@ class TwoStateChain(_GeometricModel):
         object.__setattr__(self, "alpha", a)
 
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
+        # row 0 is the stationary draw, later rows flip the sign or keep it;
+        # products of +-1 are exact, so one running product gives the path
         u = stream.random((m, count))
-        x = np.empty((m, count))
-        x[0] = np.where(u[0] < 0.5, 1.0, -1.0)
-        stay = (1.0 + self.alpha) / 2.0
-        for i in range(1, m):
-            x[i] = x[i - 1] * np.where(u[i] < stay, 1.0, -1.0)
-        return x
+        signs = np.where(u < (1.0 + self.alpha) / 2.0, 1.0, -1.0)
+        signs[0] = np.where(u[0] < 0.5, 1.0, -1.0)
+        return np.cumprod(signs, axis=0, out=signs)
 
     def text(self) -> str:
         return f"twostate:alpha={_fmt(self.alpha)}"
@@ -269,18 +268,31 @@ class FiniteMarkovChain(StationaryModel):
         return float(mods[1]) if len(mods) > 1 else 0.0
 
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
+        """Entry (i, c) leaves state s for the count of row s's cumulative
+        thresholds at or below u[i, c], capped at the last state.  That count
+        depends on u only through its code, the number of the chain's distinct
+        thresholds at or below it, so one search codes every draw up front and
+        a (state, code) successor table replaces the per-row comparisons.  The
+        walk then takes one add and one ``take`` per row."""
         states = np.array(self.states)
         cum_rows = np.cumsum(np.array(self.transition), axis=1)
-        cum_pi = np.cumsum(np.array(self.stationary))
-        nstates = len(states)
+        last = len(states) - 1
         u = stream.random((m, count))
-        x = np.empty((m, count))
-        idx = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), nstates - 1)
-        x[0] = states[idx]
+        # a row's last threshold only moves the count past the cap, so it is left out
+        thresholds = np.unique(cum_rows[:, :last])
+        edges = np.concatenate(([-np.inf], thresholds))
+        stride = len(edges)
+        successor = np.array([np.searchsorted(row[:last], edges, side="right") for row in cum_rows])
+        successor = (successor * stride).ravel()  # next state's offset in the flat table
+        pos = np.empty((m, count), dtype=np.intp)
+        cum_pi = np.cumsum(np.array(self.stationary))
+        pos[0] = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), last) * stride
+        pos[1:] = np.searchsorted(thresholds, u[1:], side="right")
         for i in range(1, m):
-            idx = np.minimum((u[i][:, None] >= cum_rows[idx]).sum(axis=1), nstates - 1)
-            x[i] = states[idx]
-        return x
+            pos[i] += pos[i - 1]
+            successor.take(pos[i], out=pos[i])
+        pos //= stride
+        return states[pos]
 
     def text(self) -> str:
         return self.source or f"chain:states={len(self.states)}"
@@ -374,11 +386,18 @@ def standard_normals(stream: np.random.Generator, shape) -> np.ndarray:
     for dim in shape:
         total *= int(dim)
     pairs = (total + 1) // 2
-    u1 = 1.0 - stream.random(pairs)  # in (0, 1], keeps the log finite
-    u2 = stream.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+    radius = stream.random(pairs)
+    np.subtract(1.0, radius, out=radius)  # in (0, 1], keeps the log finite
+    theta = stream.random(pairs)
+    theta *= 2.0 * np.pi
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    z = np.empty(2 * pairs)
+    np.cos(theta, out=z[:pairs])
+    np.sin(theta, out=z[pairs:])
+    z[:pairs] *= radius
+    z[pairs:] *= radius
     return z[:total].reshape(shape)
 
 

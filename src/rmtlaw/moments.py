@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .combinatorics import enumerate_compositions, narayana, nc_partitions
-from .errors import BoundError, DomainError
+from .errors import BoundError, DomainError, NumericError
 
 DEFAULT_MAX_K = 20
 MAX_NC_SUM_K = 10
@@ -163,21 +163,31 @@ def limiting_moment(
         total = 0.0
         one = 1.0
     kfact = math.factorial(k)
-    for s in range(1, k + 1):
-        ypow = yv ** (k - s)
-        sfact = math.factorial(s)
-        for comp in enumerate_compositions(k, s):
-            den = sfact
-            hprod = one
-            for l, i in enumerate(comp.counts, start=1):
-                if i:
-                    den *= math.factorial(i)
-                    hprod = hprod * hs[l - 1] ** i
-            coeff, rem = divmod(kfact, den)
-            if rem:  # the coefficient is a partition count; this cannot fire
-                raise DomainError("non-integer moment coefficient")
-            total = total + coeff * ypow * hprod
-    return total
+    try:
+        for s in range(1, k + 1):
+            ypow = yv ** (k - s)
+            sfact = math.factorial(s)
+            for comp in enumerate_compositions(k, s):
+                den = sfact
+                hprod = one
+                for l, i in enumerate(comp.counts, start=1):
+                    if i:
+                        den *= math.factorial(i)
+                        hprod = hprod * hs[l - 1] ** i
+                coeff, rem = divmod(kfact, den)
+                if rem:  # the coefficient is a partition count; this cannot fire
+                    raise DomainError("non-integer moment coefficient")
+                total = total + coeff * ypow * hprod
+    except OverflowError as exc:
+        raise NumericError(f"moment of order {k} overflows a float") from exc
+    return total if exact else _finite_moment(total, k)
+
+
+def _finite_moment(value: float, k: int) -> float:
+    """``value`` unless it overflowed to an infinity or a NaN."""
+    if not math.isfinite(value):
+        raise NumericError(f"moment of order {k} is not finite ({value}): the inputs are too large")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -251,26 +261,29 @@ def qform_moment(
     hs = _trace_values(h, k)
     qs = _trace_values(q, k, what="Q")
     total = 0.0
-    for s in range(1, k + 1):
-        base = k * math.factorial(k - s) * math.factorial(s - 1)
-        ypow = yv ** (k - s)
-        qparts = []
-        for jcomp in enumerate_compositions(k, k - s + 1):
-            jden = 1
-            qprod = 1.0
-            for l, j in enumerate(jcomp.counts, start=1):
-                if j:
-                    jden *= math.factorial(j)
-                    qprod *= qs[l - 1] ** j
-            qparts.append((jden, qprod))
-        for icomp in enumerate_compositions(k, s):
-            iden = 1
-            hprod = 1.0
-            for l, i in enumerate(icomp.counts, start=1):
-                if i:
-                    iden *= math.factorial(i)
-                    hprod *= hs[l - 1] ** i
-            for jden, qprod in qparts:
-                coeff = Fraction(base, iden * jden)
-                total += float(coeff) * ypow * hprod * qprod
-    return total
+    try:
+        for s in range(1, k + 1):
+            base = k * math.factorial(k - s) * math.factorial(s - 1)
+            ypow = yv ** (k - s)
+            qparts = []
+            for jcomp in enumerate_compositions(k, k - s + 1):
+                jden = 1
+                qprod = 1.0
+                for l, j in enumerate(jcomp.counts, start=1):
+                    if j:
+                        jden *= math.factorial(j)
+                        qprod *= qs[l - 1] ** j
+                qparts.append((jden, qprod))
+            for icomp in enumerate_compositions(k, s):
+                iden = 1
+                hprod = 1.0
+                for l, i in enumerate(icomp.counts, start=1):
+                    if i:
+                        iden *= math.factorial(i)
+                        hprod *= hs[l - 1] ** i
+                for jden, qprod in qparts:
+                    coeff = Fraction(base, iden * jden)
+                    total += float(coeff) * ypow * hprod * qprod
+    except OverflowError as exc:
+        raise NumericError(f"moment of order {k} overflows a float") from exc
+    return _finite_moment(total, k)

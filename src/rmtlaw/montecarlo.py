@@ -159,15 +159,36 @@ def _replicate_eigenvalues(config: SimConfig, replicate: int) -> np.ndarray:
         raise NumericError(f"eigendecomposition failed on replicate {replicate}: {exc}") from exc
 
 
-def _replicate_spectra(config: SimConfig, workers: int) -> list[np.ndarray]:
-    """Eigenvalues of W for every replicate, in replicate order.  One worker
-    runs them on the caller's thread, more run them on a thread pool; each
-    replicate draws from its own (seed, replicate) stream, so the result does
-    not depend on the worker count."""
+def _replicate_moments(config: SimConfig, replicate: int) -> np.ndarray:
+    """(1/m) tr W^k, k = 1..k_max, for one replicate, from traces rather than
+    eigenvalues.  W is formed on the smaller side, X X^T / n when m <= n and
+    else X^T X / n, which has the same traces.  With W^1..W^ceil(k_max/2) in
+    hand, tr W^k = <W^floor(k/2), W^ceil(k/2)>.  tr W is taken as the sum of
+    the squared entries over n, which is exact when the entries are +-1."""
+    x = sample_matrix(config, replicate)
+    gram = x @ x.T if config.m <= config.n else x.T @ x
+    w = gram / config.n
+    powers = [w]
+    for _ in range((config.k_max + 1) // 2 - 1):
+        powers.append(powers[-1] @ w)
+    traces = [np.trace(gram) / config.n]
+    for k in range(2, config.k_max + 1):
+        traces.append(np.vdot(powers[k // 2 - 1], powers[(k + 1) // 2 - 1]))
+    moments = np.array(traces) / config.m
+    if not np.isfinite(moments).all():
+        raise NumericError(f"spectral moments of replicate {replicate} are not finite: {moments}")
+    return moments
+
+
+def _map_replicates(per_replicate, config: SimConfig, workers: int) -> list[np.ndarray]:
+    """``per_replicate(config, replicate)`` for every replicate, in replicate order.
+    One worker runs them on the caller's thread, more run them on a thread
+    pool; each replicate draws from its own (seed, replicate) stream, so the
+    result does not depend on the worker count."""
     if workers == 1:
-        return [_replicate_eigenvalues(config, rep) for rep in range(config.replicates)]
+        return [per_replicate(config, rep) for rep in range(config.replicates)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(_replicate_eigenvalues, config), range(config.replicates)))
+        return list(pool.map(partial(per_replicate, config), range(config.replicates)))
 
 
 @dataclass(frozen=True)
@@ -228,10 +249,12 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
     """Run all replicates and assemble the report.
 
     The limiting prediction uses quadrature trace moments when the model has
-    a supported spectral density, else null.  The finite prediction uses the
-    eigenvalues of the m-window covariance.  Replicates are farmed out to a
-    thread pool but gathered by index, so the report is identical for any
-    worker count.
+    a spectral density the quadrature rule supports, else null.  The finite
+    prediction uses the eigenvalues of the m-window covariance.  Each
+    replicate reduces to its k_max moments through traces of powers of W,
+    without an eigendecomposition.  Replicates are farmed out to a thread
+    pool but gathered by index, so the report is identical for any worker
+    count.
     """
     check_budget(config, force=force)
     if workers < 1:
@@ -240,7 +263,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
     finite = h_finite(config.model, config.m, config.k_max)
     try:
         limit_values: tuple[float, ...] | None = h_szego(config.model, config.k_max).values
-    except UnsupportedModelError:
+    except (UnsupportedModelError, DomainError):  # no density, or one too peaked
         limit_values = None
 
     y = config.y
@@ -251,8 +274,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
         else [limiting_moment(k, y, limit_values) for k in range(1, config.k_max + 1)]
     )
 
-    spectra = _replicate_spectra(config, workers)
-    samples = np.array([_power_means(eig, config.k_max) for eig in spectra])
+    samples = np.array(_map_replicates(_replicate_moments, config, workers))
     means = samples.mean(axis=0)
     if config.replicates > 1:
         stderrs = samples.std(axis=0, ddof=1) / math.sqrt(config.replicates)
@@ -285,7 +307,7 @@ def sample_spectra(config: SimConfig, workers: int = 1, force: bool = False) -> 
     check_budget(config, force=force)
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    spectra = _replicate_spectra(config, workers)
+    spectra = _map_replicates(_replicate_eigenvalues, config, workers)
     return [SpectrumSample(rep, eig) for rep, eig in enumerate(spectra)]
 
 

@@ -85,12 +85,27 @@ def test_predict_weighted_form(capsys):
         ("predict", "--h", "1,-inf", "--y", "0.5"),
         ("predict", "--h", "1,2", "--htilde", "1,nan", "--y", "0.5"),
         ("predict", "--h", "1,2", "--y", "1", "--kmax", "0"),
+        ("predict", "--model", "ar1:p=0.97", "--y", "1"),  # too peaked for the quadrature
     ],
 )
 def test_predict_usage_errors(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "--h", "1,1e308,1", "--y", "1", "--format", "json"),  # M_3 sums to inf
+        ("predict", "--h", "1e200,1e200,1e200", "--y", "1"),  # H_1^2 overflows
+    ],
+)
+def test_predict_overflow_is_numeric_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "numeric error" in err
 
 
 def test_predict_model_without_spectral_density_is_usage_error(capsys, tmp_path):
@@ -117,6 +132,16 @@ SIM_ARGS = (
     "--model", "ar1:p=0.5", "--m", "24", "--n", "48", "--reps", "6",
     "--kmax", "3", "--seed", "5",
 )
+
+
+@pytest.mark.parametrize("model", ["ar1:p=0.97", "twostate:alpha=0.96"])
+def test_simulate_peaked_model_has_null_limit(capsys, model):
+    code, out, _ = run(
+        capsys, "simulate", "--model", model, "--m", "10", "--n", "10", "--reps", "2", "--quiet"
+    )
+    assert code == 0
+    rows = json.loads(out)["moments"]
+    assert rows and all(row["predicted_limit"] is None for row in rows)
 
 
 def test_simulate_reruns_byte_identical_up_to_runtime(capsys, tmp_path):

@@ -230,6 +230,90 @@ def test_remark1_sample_matrix_draws_are_pinned():
     np.testing.assert_allclose(sample_matrix(config, 2), PINNED_REMARK1_CHAIN, rtol=1e-10, atol=0)
 
 
+# The row-loop samplers and the concatenating Box-Muller transform as they
+# stood before vectorisation: references that the current samplers must match
+# bit for bit, at the acceptance shape and at degenerate ones.
+def reference_normals(stream, shape):
+    total = int(np.prod(shape))
+    pairs = (total + 1) // 2
+    u1 = 1.0 - stream.random(pairs)
+    u2 = stream.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
+    return z[:total].reshape(shape)
+
+
+def reference_ar1(model, m, count, stream):
+    z = reference_normals(stream, (m, count))
+    x = np.empty((m, count))
+    x[0] = z[0]
+    c = np.sqrt(1.0 - model.p * model.p)
+    for i in range(1, m):
+        x[i] = model.p * x[i - 1] + c * z[i]
+    return x
+
+
+def reference_twostate(model, m, count, stream):
+    u = stream.random((m, count))
+    x = np.empty((m, count))
+    x[0] = np.where(u[0] < 0.5, 1.0, -1.0)
+    stay = (1.0 + model.alpha) / 2.0
+    for i in range(1, m):
+        x[i] = x[i - 1] * np.where(u[i] < stay, 1.0, -1.0)
+    return x
+
+
+def reference_chain(model, m, count, stream):
+    states = np.array(model.states)
+    cum_rows = np.cumsum(np.array(model.transition), axis=1)
+    cum_pi = np.cumsum(np.array(model.stationary))
+    nstates = len(states)
+    u = stream.random((m, count))
+    x = np.empty((m, count))
+    idx = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), nstates - 1)
+    x[0] = states[idx]
+    for i in range(1, m):
+        idx = np.minimum((u[i][:, None] >= cum_rows[idx]).sum(axis=1), nstates - 1)
+        x[i] = states[idx]
+    return x
+
+
+# a 4-state chain with zero transitions, so some cumulative thresholds repeat
+SPARSE_CHAIN = FiniteMarkovChain(
+    states=(-2.0, 0.0, 2.0, 0.0),
+    transition=(
+        (0.5, 0.0, 0.5, 0.0), (0.0, 0.5, 0.0, 0.5), (0.5, 0.0, 0.5, 0.0), (0.0, 0.5, 0.0, 0.5),
+    ),
+    stationary=(0.25, 0.25, 0.25, 0.25),
+)
+
+REFERENCE_SAMPLERS = {
+    "ar1": (GaussianAR1(p=0.6), reference_ar1),
+    "ar1-negative": (GaussianAR1(p=-0.95), reference_ar1),
+    "twostate": (TwoStateChain(alpha=0.4), reference_twostate),
+    "chain": (three_state_chain(), reference_chain),
+    "sparse-chain": (SPARSE_CHAIN, reference_chain),
+}
+REFERENCE_KEYS = [(0, 0), (11, 2), (7, 199), (2**64 - 1, 3)]
+
+
+@pytest.mark.parametrize("shape", [(150, 300), (1, 3), (33, 1)])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLERS))
+def test_samplers_match_row_loop_reference_bit_for_bit(name, shape):
+    model, reference = REFERENCE_SAMPLERS[name]
+    for key in REFERENCE_KEYS:
+        got = sample_paths(model, *shape, replicate_stream(*key))
+        assert np.array_equal(got, reference(model, *shape, replicate_stream(*key)))
+
+
+@pytest.mark.parametrize("shape", [(150, 300), (1, 3), (33, 1), (1,)])
+def test_standard_normals_match_concatenate_reference_bit_for_bit(shape):
+    for key in REFERENCE_KEYS:
+        got = standard_normals(replicate_stream(*key), shape)
+        assert np.array_equal(got, reference_normals(replicate_stream(*key), shape))
+
+
 def empirical_lag_cov(x: np.ndarray, lag: int) -> float:
     return float((x[:-lag] * x[lag:]).mean()) if lag else float((x * x).mean())
 

@@ -10,6 +10,7 @@ from rmtlaw import (
     BoundError,
     DomainError,
     HSequence,
+    NumericError,
     QSequence,
     limiting_moment,
     limiting_moment_via_nc,
@@ -175,3 +176,16 @@ def test_short_trace_sequences_rejected():
         limiting_moment(3, 1.0, (1.0, 1.0))
     with pytest.raises(DomainError):
         qform_moment(2, 1.0, (1.0, 1.0), (1.0,))
+
+
+def test_float_overflow_raises_numeric_error():
+    with pytest.raises(NumericError):
+        limiting_moment(3, 1.0, (1.0, 1e308, 1.0))  # every term finite, the sum is not
+    with pytest.raises(NumericError):
+        limiting_moment(2, 1.0, (1e200, 1e200))  # H_1^2 overflows
+    with pytest.raises(NumericError):
+        qform_moment(3, 1.0, (1.0, 2.0, 3.0), (1.0, 1e308, 1.0))
+    with pytest.raises(NumericError):
+        qform_moment(2, 1.0, (1e200, 1.0), (1.0, 1.0))
+    # the rational evaluation has nothing to overflow
+    assert limiting_moment(2, 1, (10**200, 1), exact=True) == 1 + 10**400

@@ -11,6 +11,7 @@ from rmtlaw import (
     DomainError,
     GaussianAR1,
     IIDSymmetric,
+    NumericError,
     SimConfig,
     TwoStateChain,
     covariance_matrix,
@@ -21,7 +22,7 @@ from rmtlaw import (
     sample_spectra,
     spectral_moments,
 )
-from rmtlaw.montecarlo import _histogram_from_values
+from rmtlaw.montecarlo import _histogram_from_values, _replicate_moments
 
 from conftest import three_state_chain
 
@@ -113,6 +114,35 @@ def test_first_moment_is_mean_square_entry():
     w = x @ x.T / config.n
     m1 = spectral_moments(w, 1)[0]
     assert m1 == pytest.approx(float((x * x).mean()), rel=1e-10)
+
+
+# m < n, m = n, and m > n, where W is formed as X^T X / n
+SHAPES = [(12, 30), (20, 20), (30, 7)]
+
+
+@pytest.mark.parametrize("m, n", SHAPES)
+@pytest.mark.parametrize("k_max", [1, 4, 7, 20])
+def test_replicate_moments_match_eigenvalue_route(m, n, k_max):
+    config = SimConfig(model=GaussianAR1(p=0.5), m=m, n=n, k_max=k_max, replicates=3, seed=7)
+    for rep in range(config.replicates):
+        x = sample_matrix(config, rep)
+        want = spectral_moments((x @ x.T) / n, k_max)
+        np.testing.assert_allclose(_replicate_moments(config, rep), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("model", [IIDSymmetric(), TwoStateChain(alpha=0.4)])
+@pytest.mark.parametrize("m, n", SHAPES)
+def test_plus_minus_one_first_moment_is_exact(model, m, n):
+    # x^2 = 1 for every entry, so (1/m) tr W = 1 on every replicate
+    report = run_monte_carlo(SimConfig(model=model, m=m, n=n, k_max=2, replicates=5, seed=3))
+    assert report.moments[0].empirical_mean == 1.0
+    assert report.moments[0].empirical_stderr == 0.0
+
+
+def test_replicate_moments_reject_overflow():
+    config = SimConfig(model=IIDSymmetric(variance=1e200), m=4, n=4, k_max=2, replicates=1)
+    with pytest.raises(NumericError):
+        _replicate_moments(config, 0)  # tr W^2 ~ 1e400
 
 
 def test_run_monte_carlo_deterministic_across_runs_and_workers():
