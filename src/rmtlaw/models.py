@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from typing import Sequence, Union
 
@@ -267,27 +267,53 @@ class FiniteMarkovChain(StationaryModel):
         mods = np.sort(np.abs(np.linalg.eigvals(np.array(self.transition))))[::-1]
         return float(mods[1]) if len(mods) > 1 else 0.0
 
+    @cached_property
+    def _cum_rows(self) -> np.ndarray:
+        return np.cumsum(np.array(self.transition), axis=1)
+
+    @cached_property
+    def _thresholds(self) -> np.ndarray:
+        """The distinct cumulative transition thresholds; a row's last one
+        only moves the next-state count past the cap, so it is left out."""
+        return np.unique(self._cum_rows[:, :-1])
+
+    @cached_property
+    def _successor(self) -> np.ndarray:
+        """Flat (state, code) table of the next state's offset, state *
+        (len(_thresholds) + 1), where a draw's code is the number of
+        distinct thresholds at or below it."""
+        edges = np.concatenate(([-np.inf], self._thresholds))
+        table = np.empty((len(self.states), len(edges)), dtype=np.intp)
+        for s, row in enumerate(self._cum_rows):
+            table[s] = np.searchsorted(row[:-1], edges, side="right")
+        table *= len(edges)
+        return table.ravel()
+
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
         """Entry (i, c) leaves state s for the count of row s's cumulative
         thresholds at or below u[i, c], capped at the last state.  That count
-        depends on u only through its code, the number of the chain's distinct
-        thresholds at or below it, so one search codes every draw up front and
-        a (state, code) successor table replaces the per-row comparisons.  The
-        walk then takes one add and one ``take`` per row."""
+        depends on u only through its code, so when the (state, code)
+        successor table is no larger than the draws, one search codes every
+        draw up front and the walk takes one add and one ``take`` per row.
+        Larger tables (they grow as states^3) are never built: the rows are
+        then compared one at a time.  Both routes give the same draws."""
         states = np.array(self.states)
-        cum_rows = np.cumsum(np.array(self.transition), axis=1)
         last = len(states) - 1
         u = stream.random((m, count))
-        # a row's last threshold only moves the count past the cap, so it is left out
-        thresholds = np.unique(cum_rows[:, :last])
-        edges = np.concatenate(([-np.inf], thresholds))
-        stride = len(edges)
-        successor = np.array([np.searchsorted(row[:last], edges, side="right") for row in cum_rows])
-        successor = (successor * stride).ravel()  # next state's offset in the flat table
-        pos = np.empty((m, count), dtype=np.intp)
         cum_pi = np.cumsum(np.array(self.stationary))
-        pos[0] = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), last) * stride
-        pos[1:] = np.searchsorted(thresholds, u[1:], side="right")
+        idx = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), last)
+        stride = len(self._thresholds) + 1
+        if len(states) * stride > m * count:
+            x = np.empty((m, count))
+            x[0] = states[idx]
+            for i in range(1, m):
+                idx = np.minimum((u[i][:, None] >= self._cum_rows[idx]).sum(axis=1), last)
+                x[i] = states[idx]
+            return x
+        successor = self._successor
+        pos = np.empty((m, count), dtype=np.intp)
+        pos[0] = idx * stride
+        pos[1:] = np.searchsorted(self._thresholds, u[1:], side="right")
         for i in range(1, m):
             pos[i] += pos[i - 1]
             successor.take(pos[i], out=pos[i])

@@ -22,11 +22,13 @@ import numpy as np
 
 from .errors import BudgetError, DomainError, NumericError, UnsupportedModelError
 from .models import (
+    MAX_SZEGO_DECAY,
     StationaryModel,
     _fmt,
     _power_means,
     _sig12,
     covariance_matrix,
+    decay_rate,
     h_finite,
     h_szego,
     model_text,
@@ -261,10 +263,12 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
         raise DomainError(f"need workers >= 1, got {workers}")
     start = time.monotonic()
     finite = h_finite(config.model, config.m, config.k_max)
-    try:
-        limit_values: tuple[float, ...] | None = h_szego(config.model, config.k_max).values
-    except (UnsupportedModelError, DomainError):  # no density, or one too peaked
-        limit_values = None
+    limit_values: tuple[float, ...] | None = None
+    if decay_rate(config.model) <= MAX_SZEGO_DECAY:  # else too peaked for the quadrature rule
+        try:
+            limit_values = h_szego(config.model, config.k_max).values
+        except UnsupportedModelError:  # no spectral density
+            pass
 
     y = config.y
     predicted_finite = [limiting_moment(k, y, finite) for k in range(1, config.k_max + 1)]

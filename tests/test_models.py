@@ -3,6 +3,7 @@ moments, exact finite-(m, n) spectral moments, and sampler statistics."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,7 +289,30 @@ SPARSE_CHAIN = FiniteMarkovChain(
     stationary=(0.25, 0.25, 0.25, 0.25),
 )
 
+
+
+def doubly_stochastic_chain(nstates: int, mixands: int, seed: int) -> FiniteMarkovChain:
+    """A random mixture of permutation matrices: uniform stationary law,
+    evenly spaced zero-mean states and up to nstates * (nstates - 1)
+    distinct cumulative thresholds."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(mixands)
+    weights /= weights.sum()
+    transition = np.zeros((nstates, nstates))
+    for w in weights:
+        transition[np.arange(nstates), rng.permutation(nstates)] += w
+    return FiniteMarkovChain(
+        states=tuple(np.linspace(-1.0, 1.0, nstates)),
+        transition=tuple(map(tuple, transition)),
+        stationary=(1.0 / nstates,) * nstates,
+    )
+
+
+# 20 states: the successor table fits the draws at (150, 300) but not at (33, 1)
+MANY_STATE_CHAIN = doubly_stochastic_chain(20, 8, seed=3)
+
 REFERENCE_SAMPLERS = {
+    "many-state-chain": (MANY_STATE_CHAIN, reference_chain),
     "ar1": (GaussianAR1(p=0.6), reference_ar1),
     "ar1-negative": (GaussianAR1(p=-0.95), reference_ar1),
     "twostate": (TwoStateChain(alpha=0.4), reference_twostate),
@@ -305,6 +329,20 @@ def test_samplers_match_row_loop_reference_bit_for_bit(name, shape):
     for key in REFERENCE_KEYS:
         got = sample_paths(model, *shape, replicate_stream(*key))
         assert np.array_equal(got, reference(model, *shape, replicate_stream(*key)))
+
+
+def test_chain_sampler_memory_does_not_grow_with_the_states():
+    # 150 states here have 3757 distinct thresholds, a successor table of
+    # 564k entries (4.5 MB); a 4 x 8 draw must not build it
+    chain = doubly_stochastic_chain(150, 30, seed=5)
+    tracemalloc.start()
+    try:
+        got = sample_paths(chain, 4, 8, replicate_stream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert np.array_equal(got, reference_chain(chain, 4, 8, replicate_stream(1, 0)))
 
 
 @pytest.mark.parametrize("shape", [(150, 300), (1, 3), (33, 1), (1,)])

@@ -191,6 +191,20 @@ def test_chain_model_has_no_limit_prediction():
     assert all(row.predicted_finite != 0 for row in report.moments)
 
 
+def test_peaked_model_has_no_limit_prediction():
+    report = run_monte_carlo(small_config(model=GaussianAR1(p=0.97), replicates=2))
+    assert all(row.predicted_limit is None for row in report.moments)
+
+
+def test_other_quadrature_domain_errors_propagate(monkeypatch):
+    def failing_h_szego(model, k_max):
+        raise DomainError("trace moments must be finite")
+
+    monkeypatch.setattr("rmtlaw.montecarlo.h_szego", failing_h_szego)
+    with pytest.raises(DomainError, match="must be finite"):
+        run_monte_carlo(small_config(replicates=2))
+
+
 def test_single_replicate_has_zero_stderr():
     report = run_monte_carlo(small_config(replicates=1))
     assert all(row.empirical_stderr == 0.0 for row in report.moments)
