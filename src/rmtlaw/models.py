@@ -63,9 +63,13 @@ def _sig12(value: float) -> float:
 
 def _power_means(eig: np.ndarray, k_max: int) -> np.ndarray:
     """(1/m) sum_i eig_i^k for k = 1..k_max: the k-th spectral moment of a
-    symmetric matrix with eigenvalues ``eig``."""
-    powers = eig[None, :] ** np.arange(1, k_max + 1)[:, None]
-    return powers.mean(axis=1)
+    symmetric matrix with eigenvalues ``eig``.  Raises ``NumericError`` when
+    a moment overflows a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = (eig[None, :] ** np.arange(1, k_max + 1)[:, None]).mean(axis=1)
+    if not np.isfinite(means).all():
+        raise NumericError(f"spectral moments up to order {k_max} overflow a float: {means}")
+    return means
 
 
 class StationaryModel:

@@ -2,22 +2,31 @@
 stationary dependent sequences.
 
 The k-th limiting moment is a polynomial in the aspect ratio y and in the
-covariance trace limits H_l = lim (1/m) tr(T_m^l):
+covariance trace limits H_l = lim (1/m) tr(T_m^l).  With the generating
+series H(t) = H_1 t + H_2 t^2 + ...,
+
+    M_k = sum_{s=1}^{k} y^(k-s) k!/(s! (k-s+1)!) [t^k] H(t)^(k-s+1).
+
+Expanding the power gives the composition sum over block-size profiles,
 
     M_k = sum_{s=1}^{k} y^(k-s) (k!/s!) sum_{i_1+...+i_s = k-s+1,
                                              i_1+2i_2+...+s i_s = k}
           prod_{l=1}^{s} H_l^{i_l} / i_l!
 
-Each coefficient k!/(s! prod i_l!) is an exact integer (it counts the
-non-crossing partitions with that block-size profile), so evaluation keeps
-integer combinatorics exact and touches floats only when multiplying in y
-and H.  ``limiting_moment_via_nc`` recomputes the same quantity by brute
-force over non-crossing partitions and serves as an independent oracle.
+whose integer coefficients count the non-crossing partitions with each
+profile.  ``limiting_moment`` and ``qform_moment`` read the coefficients
+[t^k] H(t)^p off one truncated power series (``_power_coefficients``,
+O(k^3) multiply-adds).  Two oracles recompute M_k independently:
+``limiting_moment_via_compositions`` evaluates the composition sum in exact
+rationals, and ``limiting_moment_via_nc`` sums over the non-crossing
+partitions themselves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,73 +123,27 @@ def _ratio_fraction(y: Ratio) -> Fraction:
 
 
 def _trace_values(h: Traces, k: int, what: str = "H", exact: bool = False) -> tuple:
-    if isinstance(h, HSequence):
-        values: tuple = h.values
-    elif exact:
-        values = tuple(h)  # keep ints and Fractions intact
-    else:
-        values = tuple(float(v) for v in h)
+    """The values of ``h`` as floats, or as Fractions when ``exact``."""
+    values = h.values if isinstance(h, HSequence) else tuple(h)
     if len(values) < k:
         raise DomainError(f"moment order {k} needs {what}_1..{what}_{k}, got {len(values)} values")
-    return values
+    return tuple(map(Fraction if exact else float, values))
 
 
-def _check_order(k: int, allow_large_k: bool) -> None:
+def _check_order(k: int) -> None:
     if k < 1:
         raise DomainError(f"moment order must be >= 1, got {k}")
-    if k > DEFAULT_MAX_K and not allow_large_k:
-        raise BoundError(
-            f"moment order {k} exceeds the default cap {DEFAULT_MAX_K}; "
-            "pass allow_large_k=True to evaluate anyway"
-        )
+    if k > DEFAULT_MAX_K:
+        raise BoundError(f"moment order {k} exceeds the cap {DEFAULT_MAX_K}")
 
 
-def limiting_moment(
-    k: int,
-    y: Ratio,
-    h: Traces,
-    *,
-    exact: bool = False,
-    allow_large_k: bool = False,
-) -> float | Fraction:
-    """k-th moment of the limiting expected spectral distribution.
-
-    Accumulation order is fixed (ascending s, compositions lexicographic) so
-    float results are bit-reproducible.  With ``exact=True`` every operand is
-    lifted to Fraction and the exact rational value is returned; an
-    AspectRatio carrying (m, n) contributes the exact ratio m/n.
-    """
-    _check_order(k, allow_large_k)
-    values = _trace_values(h, k, exact=exact)
-    if exact:
-        yv: Fraction | float = _ratio_fraction(y)
-        hs: tuple = tuple(Fraction(v) for v in values)
-        total: Fraction | float = Fraction(0)
-        one: Fraction | float = Fraction(1)
-    else:
-        yv = _ratio_value(y)
-        hs = values
-        total = 0.0
-        one = 1.0
-    kfact = math.factorial(k)
+@contextmanager
+def _float_overflow(k: int):
+    """Turn an ``OverflowError`` raised by float arithmetic into ``NumericError``."""
     try:
-        for s in range(1, k + 1):
-            ypow = yv ** (k - s)
-            sfact = math.factorial(s)
-            for comp in enumerate_compositions(k, s):
-                den = sfact
-                hprod = one
-                for l, i in enumerate(comp.counts, start=1):
-                    if i:
-                        den *= math.factorial(i)
-                        hprod = hprod * hs[l - 1] ** i
-                coeff, rem = divmod(kfact, den)
-                if rem:  # the coefficient is a partition count; this cannot fire
-                    raise DomainError("non-integer moment coefficient")
-                total = total + coeff * ypow * hprod
+        yield
     except OverflowError as exc:
         raise NumericError(f"moment of order {k} overflows a float") from exc
-    return total if exact else _finite_moment(total, k)
 
 
 def _finite_moment(value: float, k: int) -> float:
@@ -188,6 +151,69 @@ def _finite_moment(value: float, k: int) -> float:
     if not math.isfinite(value):
         raise NumericError(f"moment of order {k} is not finite ({value}): the inputs are too large")
     return value
+
+
+def _power_coefficients(c: Sequence, k: int) -> list:
+    """[t^k] C(t)^p for p = 1..k, where C(t) = c[0] t + c[1] t^2 + ... + c[k-1] t^k.
+
+    Works on any numbers closed under + and *, floats and Fractions alike, in
+    O(k^3) multiply-adds.  C(t)^p starts at t^p, so only its coefficients of
+    degree p..k are kept, and each power is the last one times C(t).
+    """
+    power = list(c[:k])  # power[e] = [t^(p+e)] C(t)^p, here for p = 1
+    coefficients = [power[-1]]
+    for _ in range(1, k):
+        power = [sum(power[i] * c[e - i] for i in range(e + 1)) for e in range(len(power) - 1)]
+        coefficients.append(power[-1])
+    return coefficients
+
+
+def limiting_moment(k: int, y: Ratio, h: Traces, *, exact: bool = False) -> float | Fraction:
+    """k-th moment of the limiting expected spectral distribution,
+    sum_s y^(k-s) k!/(s! (k-s+1)!) [t^k] H(t)^(k-s+1).
+
+    Accumulation order is fixed (ascending s) so float results are
+    bit-reproducible.  With ``exact=True`` every operand is lifted to
+    Fraction and the exact rational value is returned; an AspectRatio
+    carrying (m, n) contributes the exact ratio m/n.
+    """
+    _check_order(k)
+    hk = _power_coefficients(_trace_values(h, k, exact=exact), k)
+    if exact:
+        yv: Fraction | float = _ratio_fraction(y)
+        quotient = Fraction
+    else:
+        yv = _ratio_value(y)
+        quotient = operator.truediv
+    kfact = math.factorial(k)
+    total: Fraction | float = Fraction(0) if exact else 0.0
+    with _float_overflow(k):
+        for s in range(1, k + 1):
+            coeff = quotient(kfact, math.factorial(s) * math.factorial(k - s + 1))
+            total += coeff * yv ** (k - s) * hk[k - s]
+    return total if exact else _finite_moment(total, k)
+
+
+def limiting_moment_via_compositions(k: int, y: Ratio, h: Traces) -> Fraction:
+    """Same moment as an exact rational, by the composition sum over
+    block-size profiles in the module docstring.  Independent oracle for
+    ``limiting_moment``; capped at k = 20 like it."""
+    _check_order(k)
+    yv = _ratio_fraction(y)
+    hs = _trace_values(h, k, exact=True)
+    kfact = math.factorial(k)
+    total = Fraction(0)
+    for s in range(1, k + 1):
+        ypow = yv ** (k - s)
+        for comp in enumerate_compositions(k, s):
+            den = math.factorial(s)
+            hprod = Fraction(1)
+            for l, i in enumerate(comp.counts, start=1):
+                if i:
+                    den *= math.factorial(i)
+                    hprod *= hs[l - 1] ** i
+            total += Fraction(kfact, den) * ypow * hprod
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -206,12 +232,13 @@ def limiting_moment_via_nc(k: int, y: Ratio, h: Traces) -> float:
     yv = _ratio_value(y)
     hs = _trace_values(h, k)
     total = 0.0
-    for sizes in _nc_size_profiles(k):
-        prod = 1.0
-        for size in sizes:
-            prod *= hs[size - 1]
-        total += yv ** (len(sizes) - 1) * prod
-    return total
+    with _float_overflow(k):
+        for sizes in _nc_size_profiles(k):
+            prod = 1.0
+            for size in sizes:
+                prod *= hs[size - 1]
+            total += yv ** (len(sizes) - 1) * prod
+    return _finite_moment(total, k)
 
 
 def mp_moment(k: int, y: Ratio, variance: float, *, exact: bool = False) -> float | Fraction:
@@ -230,60 +257,30 @@ def mp_moment(k: int, y: Ratio, variance: float, *, exact: bool = False) -> floa
         yv = _ratio_value(y)
         var = float(variance)
         total = 0.0
-    for i in range(k):
-        total = total + narayana(k, i) * yv**i
-    return var**k * total
+    with _float_overflow(k):
+        for i in range(k):
+            total = total + narayana(k, i) * yv**i
+        total = var**k * total
+    return total if exact else _finite_moment(total, k)
 
 
-def qform_moment(
-    k: int,
-    y: Ratio,
-    h: Traces,
-    q: Traces,
-    *,
-    allow_large_k: bool = False,
-) -> float:
+def qform_moment(k: int, y: Ratio, h: Traces, q: Traces) -> float:
     """k-th limiting moment weighted by a fixed quadratic form, from the two
-    trace sequences H and Q:
+    trace sequences H and Q with generating series H(t) and Q(t):
 
-        sum_{s=1}^{k} y^(k-s) * k * (k-s)! * (s-1)!
-            * [ sum over (i_1..i_s)       with sum i = k-s+1, sum l*i_l = k:
-                    prod_l H_l^{i_l} / i_l! ]
-            * [ sum over (j_1..j_{k-s+1}) with sum j = s,     sum l*j_l = k:
-                    prod_l Q_l^{j_l} / j_l! ]
+        sum_{s=1}^{k} y^(k-s) * k / (s (k-s+1))
+            * [t^k] H(t)^(k-s+1) * [t^k] Q(t)^s
 
     With Q_l = 1 for all l this collapses to ``limiting_moment``.  Whether a
     given Q sequence is meaningful for the caller's quadratic form is the
     caller's responsibility; this evaluates the polynomial.
     """
-    _check_order(k, allow_large_k)
+    _check_order(k)
     yv = _ratio_value(y)
-    hs = _trace_values(h, k)
-    qs = _trace_values(q, k, what="Q")
+    hk = _power_coefficients(_trace_values(h, k), k)
+    qk = _power_coefficients(_trace_values(q, k, what="Q"), k)
     total = 0.0
-    try:
+    with _float_overflow(k):
         for s in range(1, k + 1):
-            base = k * math.factorial(k - s) * math.factorial(s - 1)
-            ypow = yv ** (k - s)
-            qparts = []
-            for jcomp in enumerate_compositions(k, k - s + 1):
-                jden = 1
-                qprod = 1.0
-                for l, j in enumerate(jcomp.counts, start=1):
-                    if j:
-                        jden *= math.factorial(j)
-                        qprod *= qs[l - 1] ** j
-                qparts.append((jden, qprod))
-            for icomp in enumerate_compositions(k, s):
-                iden = 1
-                hprod = 1.0
-                for l, i in enumerate(icomp.counts, start=1):
-                    if i:
-                        iden *= math.factorial(i)
-                        hprod *= hs[l - 1] ** i
-                for jden, qprod in qparts:
-                    coeff = Fraction(base, iden * jden)
-                    total += float(coeff) * ypow * hprod * qprod
-    except OverflowError as exc:
-        raise NumericError(f"moment of order {k} overflows a float") from exc
+            total += k / (s * (k - s + 1)) * yv ** (k - s) * hk[k - s] * qk[s - 1]
     return _finite_moment(total, k)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: output formats, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -106,6 +107,19 @@ def test_predict_overflow_is_numeric_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "numeric error" in err
+
+
+def test_window_trace_overflow_is_numeric_error(capsys):
+    # H_2 of a variance-1e200 window overflows; no numpy warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "simulate", "--model", "iid:var=1e200", "--m", "4", "--n", "4",
+            "--reps", "1", "--kmax", "2",
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("rmtlaw: numeric error:")
 
 
 def test_predict_model_without_spectral_density_is_usage_error(capsys, tmp_path):

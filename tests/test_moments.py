@@ -13,6 +13,7 @@ from rmtlaw import (
     NumericError,
     QSequence,
     limiting_moment,
+    limiting_moment_via_compositions,
     limiting_moment_via_nc,
     mp_moment,
     qform_moment,
@@ -164,11 +165,12 @@ def test_order_bounds():
         limiting_moment(0, 1.0, (1.0,))
     with pytest.raises(BoundError):
         limiting_moment(21, 1.0, (1.0,) * 21)
-    assert limiting_moment(21, 1.0, (1.0,) * 21, allow_large_k=True) > 0
     with pytest.raises(BoundError):
         limiting_moment_via_nc(11, 1.0, (1.0,) * 11)
     with pytest.raises(BoundError):
         qform_moment(21, 1.0, (1.0,) * 21, (1.0,) * 21)
+    with pytest.raises(BoundError):
+        limiting_moment_via_compositions(21, 1.0, (1.0,) * 21)
 
 
 def test_short_trace_sequences_rejected():
@@ -187,5 +189,56 @@ def test_float_overflow_raises_numeric_error():
         qform_moment(3, 1.0, (1.0, 2.0, 3.0), (1.0, 1e308, 1.0))
     with pytest.raises(NumericError):
         qform_moment(2, 1.0, (1e200, 1.0), (1.0, 1.0))
+    with pytest.raises(NumericError):
+        mp_moment(3, 1.0, 1e200)  # variance^3 overflows
+    with pytest.raises(NumericError):
+        limiting_moment_via_nc(3, 1.0, (1.0, 1e308, 1.0))  # every term finite, the sum is not
     # the rational evaluation has nothing to overflow
     assert limiting_moment(2, 1, (10**200, 1), exact=True) == 1 + 10**400
+
+
+# Trace moments of the two-atom spectral law 0.3 delta_0.6 + 0.7 delta_1.8 and
+# the weights c^l, c = 1.2: the shape of the benchmark's weighted predictions.
+TWO_ATOM_H = tuple(0.3 * 0.6**l + 0.7 * 1.8**l for l in range(1, 21))
+POWER_Q = tuple(1.2**l for l in range(1, 21))
+
+
+@pytest.mark.parametrize(
+    "y",
+    [Fraction(1, 4), AspectRatio.from_shape(150, 300), 1.0, Fraction(2)],
+    ids=["1/4", "150x300", "1.0", "2"],
+)
+def test_exact_mode_matches_composition_oracle(y):
+    rational = tuple(Fraction(l + 1, 2 * l + 1) for l in range(1, 21))
+    for h in (rational, TWO_ATOM_H):
+        for k in range(1, 21):
+            assert limiting_moment(k, y, h, exact=True) == limiting_moment_via_compositions(k, y, h)
+
+
+@pytest.mark.parametrize("y", [0.25, 0.5, 1.0, 2.0])
+def test_float_mode_matches_composition_oracle(y):
+    for k in range(1, 21):
+        oracle = float(limiting_moment_via_compositions(k, y, TWO_ATOM_H))
+        assert limiting_moment(k, y, TWO_ATOM_H) == pytest.approx(oracle, rel=1e-13)
+
+
+# Values of the composition-loop evaluation this module used before the
+# power-series routine, at k = 1, 4, 12, 20.
+PINNED = {
+    0.5: (
+        (1.44, 32.904299519999995, 1708379.0683301787, 187449259639.99747),
+        (1.728, 68.23035548467199, 15232079.376929877, 7186354722217.201),
+    ),
+    2.0: (
+        (1.44, 230.38795007999997, 2247565522.6257725, 4.6723272681991224e16),
+        (1.728, 477.7324532858879, 20039519963.768414, 1.791258135244311e18),
+    ),
+}
+
+
+@pytest.mark.parametrize("y", sorted(PINNED))
+def test_moments_match_pinned_composition_values(y):
+    plain, weighted = PINNED[y]
+    for k, want_plain, want_weighted in zip((1, 4, 12, 20), plain, weighted):
+        assert limiting_moment(k, y, TWO_ATOM_H) == pytest.approx(want_plain, rel=1e-13)
+        assert qform_moment(k, y, TWO_ATOM_H, POWER_Q) == pytest.approx(want_weighted, rel=1e-13)
