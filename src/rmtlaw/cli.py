@@ -33,6 +33,7 @@ from .montecarlo import (
     MODE_REMARK1,
     MomentReport,
     SimConfig,
+    check_shape,
     eigenvalue_histogram,
     run_monte_carlo,
 )
@@ -298,6 +299,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return _emit_verdicts(args, _self_rows(doc, args.y), ("empirical", "predicted"))
     if len(args.reports) == 1:
         doc = _load_report(args.reports[0])
+        if args.y is not None:  # the new prediction needs the report's m-window traces
+            check_shape(doc["config"]["m"], doc["config"]["n"], force=args.force)
         return _emit_verdicts(args, _self_rows(doc, args.y), ("empirical", "predicted"))
 
     if args.y is not None:

@@ -19,6 +19,9 @@ from .errors import BoundError, DomainError, ParseError
 
 MAX_ENUM_K = 12
 MAX_GRAPH_K = 8
+# the count is at most Catalan(k) < 4^k, so it prints in at most 3,011 digits,
+# under Python's 4,300-digit limit on int-to-str conversion
+MAX_COUNT_K = 5000
 
 # caches hold full enumerations; keep them to sizes that stay small in RAM
 _PARTITION_CACHE_K = 9
@@ -368,6 +371,8 @@ def count_nc_by_block_sizes(k: int, counts: Mapping[int, int]) -> int:
     block count."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
+    if k > MAX_COUNT_K:
+        raise BoundError(f"counting is capped at k = {MAX_COUNT_K}, got {k}")
     q = 0
     weight = 0
     for size, mult in counts.items():

@@ -15,17 +15,20 @@ Expanding the power gives the composition sum over block-size profiles,
 
 whose integer coefficients count the non-crossing partitions with each
 profile.  ``limiting_moment`` and ``qform_moment`` read the coefficients
-[t^k] H(t)^p off one truncated power series (``_power_coefficients``,
-O(k^3) multiply-adds).  Two oracles recompute M_k independently:
-``limiting_moment_via_compositions`` evaluates the composition sum in exact
-rationals, and ``limiting_moment_via_nc`` sums over the non-crossing
-partitions themselves.
+[t^k] H(t)^p off one table of truncated powers per trace sequence
+(``_power_coefficients``): it holds [t^j] H(t)^p for 1 <= p <= j <= 20,
+costs O(K^3) multiply-adds once, and is cached, so a table of M_1..M_20
+builds it once rather than once per k.  Two oracles recompute M_k
+independently: ``limiting_moment_via_compositions`` evaluates the
+composition sum in exact rationals, and ``limiting_moment_via_nc`` sums
+over the non-crossing partitions, grouped by block-size profile.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,19 +156,45 @@ def _finite_moment(value: float, k: int) -> float:
     return value
 
 
-def _power_coefficients(c: Sequence, k: int) -> list:
-    """[t^k] C(t)^p for p = 1..k, where C(t) = c[0] t + c[1] t^2 + ... + c[k-1] t^k.
+def _power_rows(c: Sequence) -> tuple[tuple, ...]:
+    """rows[p - 1][e] = [t^(p+e)] C(t)^p for 1 <= p <= K and 0 <= e <= K - p,
+    where C(t) = c[0] t + c[1] t^2 + ... + c[K-1] t^K.
 
-    Works on any numbers closed under + and *, floats and Fractions alike, in
-    O(k^3) multiply-adds.  C(t)^p starts at t^p, so only its coefficients of
-    degree p..k are kept, and each power is the last one times C(t).
+    Works on any numbers closed under + and *, in O(K^3) multiply-adds.
+    C(t)^p starts at t^p, so only its coefficients of degree p..K are kept,
+    and each power is the last one times C(t).  Entry e of a power is summed
+    over the same terms in the same order for every K, so truncating at a
+    larger K leaves every float entry bit for bit the same.
     """
-    power = list(c[:k])  # power[e] = [t^(p+e)] C(t)^p, here for p = 1
-    coefficients = [power[-1]]
-    for _ in range(1, k):
-        power = [sum(power[i] * c[e - i] for i in range(e + 1)) for e in range(len(power) - 1)]
-        coefficients.append(power[-1])
-    return coefficients
+    power = tuple(c)
+    rows = [power]
+    for _ in range(1, len(c)):
+        power = tuple(sum(power[i] * c[e - i] for i in range(e + 1)) for e in range(len(power) - 1))
+        rows.append(power)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=8)
+def _power_coefficients(values: tuple, exact: bool) -> tuple[tuple, ...]:
+    """The power table of one trace sequence, as ``_power_rows`` lays it out.
+
+    Cached, so the moments of one sequence share one table.  The key holds
+    the mode because (1.0,), (1,) and (Fraction(1),) hash and compare equal.
+    Exact mode lifts the Fractions to integers over their common denominator
+    D, builds the table on the integers and divides row p by D^p, which
+    avoids the gcd work of multiplying Fractions.
+    """
+    if not exact:
+        return _power_rows(values)
+    d = math.lcm(*(v.denominator for v in values))
+    rows = _power_rows(tuple(v.numerator * (d // v.denominator) for v in values))
+    return tuple(tuple(Fraction(x, d**p) for x in row) for p, row in enumerate(rows, start=1))
+
+
+def _series_coefficients(h: Traces, k: int, what: str = "H", exact: bool = False) -> list:
+    """[t^k] H(t)^p for p = 1..k, read off the cached power table of ``h``."""
+    rows = _power_coefficients(_trace_values(h, k, what, exact)[:DEFAULT_MAX_K], exact)
+    return [rows[p - 1][k - p] for p in range(1, k + 1)]
 
 
 def limiting_moment(k: int, y: Ratio, h: Traces, *, exact: bool = False) -> float | Fraction:
@@ -178,7 +207,7 @@ def limiting_moment(k: int, y: Ratio, h: Traces, *, exact: bool = False) -> floa
     carrying (m, n) contributes the exact ratio m/n.
     """
     _check_order(k)
-    hk = _power_coefficients(_trace_values(h, k, exact=exact), k)
+    hk = _series_coefficients(h, k, exact=exact)
     if exact:
         yv: Fraction | float = _ratio_fraction(y)
         quotient = Fraction
@@ -217,14 +246,20 @@ def limiting_moment_via_compositions(k: int, y: Ratio, h: Traces) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _nc_size_profiles(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p.block_sizes() for p in nc_partitions(k))
+def _nc_size_profiles(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The sorted block-size profiles of the non-crossing partitions of
+    {1..k}, each with the number of partitions that have it.  The counts come
+    from the enumeration, not from the closed form, so the oracle built on
+    them stays independent of ``count_nc_by_block_sizes``."""
+    counts = Counter(tuple(sorted(p.block_sizes())) for p in nc_partitions(k))
+    return tuple(sorted(counts.items()))
 
 
 def limiting_moment_via_nc(k: int, y: Ratio, h: Traces) -> float:
     """Same moment by brute force: sum over non-crossing partitions of
-    y^(#blocks - 1) * prod_blocks H_{block size}.  Independent oracle for
-    ``limiting_moment``; capped at k = 10 by enumeration cost."""
+    y^(#blocks - 1) * prod_blocks H_{block size}, taken once per block-size
+    profile times its count.  Independent oracle for ``limiting_moment``;
+    capped at k = 10 by enumeration cost."""
     if k < 1:
         raise DomainError(f"moment order must be >= 1, got {k}")
     if k > MAX_NC_SUM_K:
@@ -233,11 +268,11 @@ def limiting_moment_via_nc(k: int, y: Ratio, h: Traces) -> float:
     hs = _trace_values(h, k)
     total = 0.0
     with _float_overflow(k):
-        for sizes in _nc_size_profiles(k):
+        for sizes, count in _nc_size_profiles(k):
             prod = 1.0
             for size in sizes:
                 prod *= hs[size - 1]
-            total += yv ** (len(sizes) - 1) * prod
+            total += count * yv ** (len(sizes) - 1) * prod
     return _finite_moment(total, k)
 
 
@@ -277,8 +312,8 @@ def qform_moment(k: int, y: Ratio, h: Traces, q: Traces) -> float:
     """
     _check_order(k)
     yv = _ratio_value(y)
-    hk = _power_coefficients(_trace_values(h, k), k)
-    qk = _power_coefficients(_trace_values(q, k, what="Q"), k)
+    hk = _series_coefficients(h, k)
+    qk = _series_coefficients(q, k, what="Q")
     total = 0.0
     with _float_overflow(k):
         for s in range(1, k + 1):

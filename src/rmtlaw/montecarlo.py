@@ -86,16 +86,23 @@ class SimConfig:
         return self.m / self.n
 
 
+def check_shape(m: int, n: int, force: bool = False) -> None:
+    """Refuse an m x n matrix past the size caps unless forced."""
+    if force:
+        return
+    if m > DEFAULT_MAX_M:
+        raise BudgetError(f"m = {m} exceeds the cap {DEFAULT_MAX_M}; pass force to override")
+    if n > DEFAULT_MAX_N:
+        raise BudgetError(f"n = {n} exceeds the cap {DEFAULT_MAX_N}; pass force to override")
+
+
 def check_budget(config: SimConfig, force: bool = False) -> None:
     """Refuse configurations past the size caps unless forced.  The work cap
     m * n * replicates defaults to 512 * 1024 * 1000 and can be overridden
     through the RMTLAW_BUDGET environment variable."""
     if force:
         return
-    if config.m > DEFAULT_MAX_M:
-        raise BudgetError(f"m = {config.m} exceeds the cap {DEFAULT_MAX_M}; pass force to override")
-    if config.n > DEFAULT_MAX_N:
-        raise BudgetError(f"n = {config.n} exceeds the cap {DEFAULT_MAX_N}; pass force to override")
+    check_shape(config.m, config.n)
     if config.replicates > DEFAULT_MAX_REPLICATES:
         raise BudgetError(
             f"replicates = {config.replicates} exceeds the cap {DEFAULT_MAX_REPLICATES}; "

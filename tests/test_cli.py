@@ -311,6 +311,31 @@ def test_compare_rejects_malformed_reports(capsys, self_report, tmp_path, damage
     assert out == "" and err.startswith("rmtlaw: report ")
 
 
+@pytest.mark.parametrize("m,n", [(1_000_000, 240), (600, 240), (60, 2000)])
+def test_compare_rejects_oversized_report_before_predicting(capsys, self_report, tmp_path, m, n):
+    # a new prediction at --y needs the m-window traces of the report's model;
+    # past the simulate caps they would not fit in memory or would take hours
+    doc = json.loads(self_report.read_text())
+    doc["config"]["m"], doc["config"]["n"] = m, n
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compare", str(path), "--y", "0.25", "--quiet")
+    assert code == 2
+    assert out == "" and "exceeds the cap" in err
+
+
+def test_compare_force_lifts_the_report_caps(capsys, self_report, tmp_path):
+    doc = json.loads(self_report.read_text())
+    doc["config"]["m"] = 600
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "compare", str(path), "--y", "0.25", "--force", "--quiet")
+    assert code in (0, 1)
+    assert len(json.loads(out)["rows"]) == 3
+    # without --y the report's own predictions are used and nothing is computed
+    assert run(capsys, "compare", str(path), "--quiet")[0] == 0
+
+
 def test_compare_usage_errors(capsys, self_report):
     assert run(capsys, "compare", "a", "b", "c", "--quiet")[0] == 2
     assert run(capsys, "compare", "--quiet")[0] == 2  # inline without --model
@@ -371,6 +396,22 @@ def test_nc_count(capsys):
     assert out == "1\n"
     code, out, _ = run(capsys, "nc", "count", "--k", "5", "--sizes", "1:1,2:2", "--quiet")
     assert out == "10\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nc_count_caps_k_so_the_count_always_prints(capsys, fmt):
+    # the count is at most Catalan(k) < 4^k: at the cap k = 5000 it has at
+    # most 3,011 digits, under Python's 4,300-digit int-to-str limit
+    code, out, err = run(
+        capsys, "nc", "count", "--k", "5000", "--sizes", "1:2500,2:1250", "--format", fmt
+    )
+    assert code == 0
+    count = int(out) if fmt == "text" else json.loads(out)["count"]
+    assert 2000 < len(str(count)) <= 3011
+    for k, sizes in ((10000, "1:5000,2:2500"), (10**8, f"1:{10**8}")):
+        code, out, err = run(capsys, "nc", "count", "--k", str(k), "--sizes", sizes, "--format", fmt)
+        assert code == 2
+        assert out == "" and "capped at k = 5000" in err
 
 
 def test_nc_graphs(capsys):

@@ -1,5 +1,7 @@
 """Moment-formula checks against hand expansions and the NC-sum oracle."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +14,15 @@ from rmtlaw import (
     HSequence,
     NumericError,
     QSequence,
+    count_nc_by_block_sizes,
     limiting_moment,
     limiting_moment_via_compositions,
     limiting_moment_via_nc,
     mp_moment,
+    nc_partitions,
     qform_moment,
 )
+from rmtlaw import moments
 
 
 def hand_moment(k: int, y: float, h) -> float:
@@ -242,3 +247,123 @@ def test_moments_match_pinned_composition_values(y):
     for k, want_plain, want_weighted in zip((1, 4, 12, 20), plain, weighted):
         assert limiting_moment(k, y, TWO_ATOM_H) == pytest.approx(want_plain, rel=1e-13)
         assert qform_moment(k, y, TWO_ATOM_H, POWER_Q) == pytest.approx(want_weighted, rel=1e-13)
+
+
+# The per-k power series this module used before the cached power table,
+# kept as the reference that the table's float results must equal bit for bit.
+def reference_power_coefficients(c, k):
+    power = list(c[:k])
+    coefficients = [power[-1]]
+    for _ in range(1, k):
+        power = [sum(power[i] * c[e - i] for i in range(e + 1)) for e in range(len(power) - 1)]
+        coefficients.append(power[-1])
+    return coefficients
+
+
+def reference_moment(k, y, h):
+    hk = reference_power_coefficients(h, k)
+    total = 0.0
+    for s in range(1, k + 1):
+        coeff = math.factorial(k) / (math.factorial(s) * math.factorial(k - s + 1))
+        total += coeff * y ** (k - s) * hk[k - s]
+    return total
+
+
+def reference_qform(k, y, h, q):
+    hk = reference_power_coefficients(h, k)
+    qk = reference_power_coefficients(q, k)
+    total = 0.0
+    for s in range(1, k + 1):
+        total += k / (s * (k - s + 1)) * y ** (k - s) * hk[k - s] * qk[s - 1]
+    return total
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_power_table_matches_per_k_reference_bitwise(order):
+    rng = np.random.default_rng({"ascending": 1, "descending": 2, "interleaved": 3}[order])
+    # more sequences than the cache holds, and prefixes, whose tables are
+    # truncated at a smaller K
+    sequences = []
+    for _ in range(6):
+        h = tuple(float(v) for v in rng.uniform(-1.5, 2.5, size=20))
+        q = tuple(float(v) for v in rng.uniform(-1.5, 2.5, size=20))
+        y = float(rng.uniform(0.1, 3.0))
+        sequences += [(h, q, y), (h[:7], q[:13], y), (h[:13], q, y)]
+    calls = [(i, k) for i, (h, q, _) in enumerate(sequences) for k in range(1, min(len(h), len(q)) + 1)]
+    if order == "descending":
+        calls.reverse()
+    elif order == "interleaved":
+        calls.sort(key=lambda call: (call[1] * 7919 + call[0] * 104729) % 1009)
+    moments._power_coefficients.cache_clear()
+    for i, k in calls:
+        h, q, y = sequences[i]
+        assert limiting_moment(k, y, h) == reference_moment(k, y, h)
+        assert qform_moment(k, y, h, q) == reference_qform(k, y, h, q)
+
+
+def test_power_table_is_built_once_per_sequence():
+    h = HSequence(tuple(1.0 + 0.1 * l for l in range(20)))
+    q = tuple(0.9**l for l in range(1, 21))
+    moments._power_coefficients.cache_clear()
+    for k in range(1, 21):
+        limiting_moment(k, 0.5, h)
+        qform_moment(k, 0.5, h, q)
+    assert moments._power_coefficients.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("exact_first", [False, True], ids=["float-first", "exact-first"])
+def test_power_table_keeps_float_and_exact_apart(exact_first):
+    # (1, 2), (1.0, 2.0) and (Fraction(1), Fraction(2)) hash and compare
+    # equal, so one cache must not hand a float table to an exact caller
+    ints = (1, 2, 5, 3, 7, 4)
+    inputs = (ints, tuple(map(float, ints)), tuple(map(Fraction, ints)))
+    y = Fraction(1, 3)
+    moments._power_coefficients.cache_clear()
+    for _ in range(2):
+        for h in inputs:
+            for exact in (exact_first, not exact_first):
+                for k in range(1, len(ints) + 1):
+                    value = limiting_moment(k, y, h, exact=exact)
+                    oracle = limiting_moment_via_compositions(k, y, h)
+                    if exact:
+                        assert type(value) is Fraction and value == oracle
+                    else:
+                        assert type(value) is float
+                        assert value == reference_moment(k, float(y), tuple(map(float, h)))
+    assert moments._power_coefficients.cache_info().misses == 2
+
+
+def test_exact_power_table_on_mixed_denominators():
+    h = (Fraction(1, 3), 2, 0.375, Fraction(-5, 7), Fraction(10**30, 3**40))
+    for k in range(1, 6):
+        assert limiting_moment(k, 0.75, h, exact=True) == limiting_moment_via_compositions(k, 0.75, h)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_grouped_nc_profiles_count_by_enumeration(k):
+    profiles = moments._nc_size_profiles(k)
+    assert [sizes for sizes, _ in profiles] == sorted({tuple(sorted(s)) for s, _ in profiles})
+    for sizes, count in profiles:
+        assert count == count_nc_by_block_sizes(k, Counter(sizes))
+    assert sum(count for _, count in profiles) == math.comb(2 * k, k) // (k + 1)
+
+
+def per_partition_nc_sum(k, y, h):
+    """The non-crossing sum taken one partition at a time."""
+    total = 0.0
+    for p in nc_partitions(k):
+        prod = 1.0
+        for size in p.block_sizes():
+            prod *= h[size - 1]
+        total += y ** (len(p.block_sizes()) - 1) * prod
+    return total
+
+
+def test_grouped_nc_sum_matches_per_partition_sum():
+    rng = np.random.default_rng(11)
+    for k in range(1, 11):
+        for _ in range(5):
+            y = float(rng.uniform(0.1, 3.0))
+            h = tuple(float(v) for v in rng.uniform(0.1, 2.5, size=k))
+            want = per_partition_nc_sum(k, y, h)
+            assert limiting_moment_via_nc(k, y, h) == pytest.approx(want, rel=1e-13)
