@@ -132,9 +132,20 @@ class IIDSymmetric(_GeometricModel):
 
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
         sig = math.sqrt(self.variance)
-        if self.distribution == RADEMACHER:
-            return np.where(stream.random((m, count)) < 0.5, -sig, sig)
-        return sig * standard_normals(stream, (m, count))
+        if self.distribution == STANDARD_GAUSSIAN:
+            return sig * stream.standard_normal((m, count))
+        # one raw bit per sign: entry i takes bit i % 64, least significant
+        # first, of word i // 64; a set bit is +sig.  Both 2 sig - sig and
+        # 0 - sig are exact.
+        total = m * count
+        words = stream.bit_generator.random_raw(-(-total // 64))
+        bits = np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8), count=total, bitorder="little"
+        )
+        x = bits.reshape(m, count).astype(np.float64)
+        x *= 2.0 * sig
+        x -= sig
+        return x
 
     def text(self) -> str:
         return f"iid:dist={self.distribution},var={_fmt(self.variance)}"
@@ -165,7 +176,7 @@ class GaussianAR1(_GeometricModel):
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
         # x[i] = p * x[i-1] + c * z[i], built in place in z: the same two
         # products and the same (commutative) sum per entry
-        x = standard_normals(stream, (m, count))
+        x = stream.standard_normal((m, count))
         x[1:] *= math.sqrt(1.0 - self.p * self.p)
         for i in range(1, m):
             x[i] += self.p * x[i - 1]
@@ -293,21 +304,45 @@ class FiniteMarkovChain(StationaryModel):
         table *= len(edges)
         return table.ravel()
 
+    @property
+    def _grid(self) -> int:
+        """The cell count of ``_coder``: the least power of two holding 64
+        cells per threshold."""
+        return 1 << (64 * len(self._thresholds) - 1).bit_length()
+
+    @cached_property
+    def _coder(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scaled thresholds, cell table) that code a draw u without a
+        search.  The grid has G = ``_grid`` cells, a power of two, so u * G
+        and the thresholds times G are exact and keep their order.
+        Cell c = floor(u * G) covers [c/G, (c+1)/G): its entry is the number
+        of thresholds at or below c/G, which is every draw's code unless a
+        threshold lies strictly inside the cell.  Those few cells hold -1,
+        and their draws are searched."""
+        grid = self._grid
+        scaled = self._thresholds * grid
+        table = np.searchsorted(scaled, np.arange(grid, dtype=np.float64), side="right")
+        inside = scaled[(scaled < grid) & (scaled != np.floor(scaled))]
+        table[inside.astype(np.intp)] = -1
+        return scaled, table
+
     def sample_paths(self, m: int, count: int, stream: np.random.Generator) -> np.ndarray:
         """Entry (i, c) leaves state s for the count of row s's cumulative
         thresholds at or below u[i, c], capped at the last state.  That count
-        depends on u only through its code, so when the (state, code)
-        successor table is no larger than the draws, one search codes every
-        draw up front and the walk takes one add and one ``take`` per row.
-        Larger tables (they grow as states^3) are never built: the rows are
-        then compared one at a time.  Both routes give the same draws."""
+        depends on u only through its code, the number of distinct thresholds
+        at or below u.  When the (state, code) successor table and the cell
+        table of ``_coder`` together are no larger than the draws, every draw
+        is coded up front and the walk takes one add and one ``take`` per row.
+        Larger tables (the successor table grows as states^3) are never
+        built: the rows are then compared one at a time.  Both routes give
+        the same draws."""
         states = np.array(self.states)
         last = len(states) - 1
         u = stream.random((m, count))
         cum_pi = np.cumsum(np.array(self.stationary))
         idx = np.minimum(np.searchsorted(cum_pi, u[0], side="right"), last)
         stride = len(self._thresholds) + 1
-        if len(states) * stride > m * count:
+        if len(states) * stride + self._grid > m * count:
             x = np.empty((m, count))
             x[0] = states[idx]
             for i in range(1, m):
@@ -315,9 +350,16 @@ class FiniteMarkovChain(StationaryModel):
                 x[i] = states[idx]
             return x
         successor = self._successor
+        scaled, table = self._coder
         pos = np.empty((m, count), dtype=np.intp)
         pos[0] = idx * stride
-        pos[1:] = np.searchsorted(self._thresholds, u[1:], side="right")
+        cells = u[1:].reshape(-1)
+        cells *= len(table)
+        codes = pos[1:].reshape(-1)
+        codes[:] = cells  # floor: the cells are nonnegative
+        table.take(codes, out=codes, mode="clip")  # u < 1, so every cell is in range
+        inside = np.flatnonzero(codes < 0)
+        codes[inside] = np.searchsorted(scaled, cells[inside], side="right")
         for i in range(1, m):
             pos[i] += pos[i - 1]
             successor.take(pos[i], out=pos[i])
@@ -406,29 +448,6 @@ def h_szego(model: StationaryModel, k_max: int) -> HSequence:
     weights *= 1.0 / (3.0 * SIMPSON_PANELS)
     values = tuple(float(weights @ fx**k) for k in range(1, k_max + 1))
     return HSequence(values, origin=ORIGIN_SZEGO)
-
-
-def standard_normals(stream: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal draws via the Box-Muller transform on the stream's
-    uniforms; the draw count depends only on the requested size."""
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    total = 1
-    for dim in shape:
-        total *= int(dim)
-    pairs = (total + 1) // 2
-    radius = stream.random(pairs)
-    np.subtract(1.0, radius, out=radius)  # in (0, 1], keeps the log finite
-    theta = stream.random(pairs)
-    theta *= 2.0 * np.pi
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    z = np.empty(2 * pairs)
-    np.cos(theta, out=z[:pairs])
-    np.sin(theta, out=z[pairs:])
-    z[:pairs] *= radius
-    z[pairs:] *= radius
-    return z[:total].reshape(shape)
 
 
 def sample_paths(

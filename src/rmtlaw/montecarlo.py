@@ -33,7 +33,6 @@ from .models import (
     h_szego,
     model_text,
     sample_paths,
-    standard_normals,
 )
 from .moments import limiting_moment
 
@@ -42,6 +41,12 @@ DEFAULT_MAX_N = 1024
 DEFAULT_MAX_REPLICATES = 1000
 DEFAULT_BUDGET = DEFAULT_MAX_M * DEFAULT_MAX_N * DEFAULT_MAX_REPLICATES
 BUDGET_ENV = "RMTLAW_BUDGET"
+
+# Version of the draws a replicate takes from its stream: the Philox key, the
+# model samplers and the remark1 draw.  Stream 2 takes numpy's ziggurat for
+# Gaussian entries, one raw bit per Rademacher sign, and one uniform per chain
+# step.
+SAMPLER_STREAM = 2
 
 MODE_DIRECT = "direct"
 MODE_REMARK1 = "remark1-gaussian"
@@ -141,7 +146,7 @@ def sample_matrix(
         root = np.linalg.cholesky(t)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"covariance window is not positive definite: {exc}") from exc
-    return root @ standard_normals(stream, (config.m, config.n))
+    return root @ stream.standard_normal((config.m, config.n))
 
 
 def spectral_moments(w: np.ndarray, k_max: int) -> np.ndarray:
@@ -247,10 +252,17 @@ class MomentReport:
             )
         return {"config": self.config_dict(), "moments": rows}
 
+    def provenance(self) -> dict:
+        """Where the draws came from: the sampler stream and numpy's version."""
+        return {"sampler_stream": SAMPLER_STREAM, "numpy": np.__version__}
+
     def to_json(self, include_runtime: bool = True) -> str:
+        """The payload, and unless ``include_runtime`` is false, the run time
+        and the provenance next to it."""
         doc = self.payload()
         if include_runtime:
             doc["runtime_seconds"] = _sig12(self.runtime_seconds)
+            doc["provenance"] = self.provenance()
         return json.dumps(doc, indent=2) + "\n"
 
 

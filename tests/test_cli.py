@@ -215,6 +215,22 @@ def test_compare_self_report_passes(capsys, self_report):
     assert all(line.endswith(",PASS") for line in lines[1:])
 
 
+def test_compare_loads_reports_with_and_without_provenance(capsys, self_report, tmp_path):
+    doc = json.loads(self_report.read_text())
+    assert doc["provenance"]["sampler_stream"] == 2
+    doc.pop("provenance")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    outputs = []
+    for path in (self_report, bare):
+        code, out, _ = run(capsys, "compare", str(path), "--quiet")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    code, out, _ = run(capsys, "compare", str(self_report), str(bare), "--quiet")
+    assert code == 0 and json.loads(out)["overall"] == "PASS"
+
+
 def test_compare_detects_doctored_prediction(capsys, self_report, tmp_path):
     doc = json.loads(self_report.read_text())
     doc["moments"][1]["predicted_finite"] *= 1.2
@@ -437,11 +453,23 @@ README_EXAMPLES = [
     (("nc", "complement", "--blocks", "1,2,4|3|5"), "1|2,3|4,5\n"),
     (("nc", "count", "--k", "5", "--sizes", "1:1,2:2"), "10\n"),
     (("nc", "graphs", "--blocks", "1,2|3"), "1\n1,3|2\n"),
+    (
+        ("spectrum", "--model", "iid:dist=standard-gaussian", "--m", "100", "--n", "100",
+         "--reps", "3", "--seed", "9", "--bins", "5", "--range", "0:4.2"),
+        "bin_lo,bin_hi,count,density\n"
+        "0,0.84,169,0.670634920635\n"
+        "0.84,1.68,61,0.242063492063\n"
+        "1.68,2.52,36,0.142857142857\n"
+        "2.52,3.36,25,0.0992063492063\n"
+        "3.36,4.2,9,0.0357142857143\n",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,expected", README_EXAMPLES, ids=["predict-csv", "nc-complement", "nc-count", "nc-graphs"]
+    "argv,expected",
+    README_EXAMPLES,
+    ids=["predict-csv", "nc-complement", "nc-count", "nc-graphs", "spectrum-csv"],
 )
 def test_readme_examples_print_exactly(capsys, argv, expected):
     code, out, _ = run(capsys, *argv, "--quiet")

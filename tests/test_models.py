@@ -36,8 +36,6 @@ from rmtlaw import (
     sample_paths,
     spectral_density,
 )
-from rmtlaw.models import standard_normals
-
 from conftest import three_state_chain
 
 
@@ -130,13 +128,13 @@ def test_h_finite_approaches_szego():
 
 
 def test_standard_normals_shapes_and_stats():
-    stream = replicate_stream(11, 0)
-    z = standard_normals(stream, (250, 401))  # odd element count
+    model = IIDSymmetric(distribution="standard-gaussian")
+    z = sample_paths(model, 250, 401, replicate_stream(11, 0))  # odd element count
     assert z.shape == (250, 401)
     n = z.size
     assert abs(z.mean()) < 3 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 3 * np.sqrt(2.0 / n)
-    assert standard_normals(stream, 7).shape == (7,)
+    assert sample_paths(model, 7, 1, replicate_stream(11, 0)).shape == (7, 1)
 
 
 def test_sampler_shapes_and_support():
@@ -158,13 +156,15 @@ def test_sampler_shapes_and_support():
 
 
 # Draws pinned so that a refactor of the samplers cannot silently change the
-# random streams.  Discrete states compare exactly; Gaussian values compare at
-# rtol 1e-10, since libm sin/cos/log may differ in the last bit across CPUs.
+# random streams (sampler stream 2).  Discrete states compare exactly;
+# Gaussian values compare at rtol 1e-10, since the libm calls in the tail of
+# numpy's ziggurat and the BLAS product of remark1 may round differently
+# across CPUs.
 PINNED_DISCRETE = {
     "rademacher": (
         IIDSymmetric(),
-        [[1, -1, 1, 1, -1], [1, -1, 1, 1, -1], [1, -1, -1, 1, -1], [-1, -1, -1, 1, 1],
-         [-1, 1, -1, -1, 1], [1, -1, 1, 1, -1], [-1, -1, 1, -1, 1]],
+        [[1, -1, 1, 1, 1], [-1, -1, 1, 1, -1], [-1, -1, -1, 1, -1], [-1, -1, -1, 1, -1],
+         [1, 1, -1, -1, -1], [-1, 1, -1, 1, -1], [1, -1, -1, 1, 1]],
     ),
     "twostate": (
         TwoStateChain(alpha=0.4),
@@ -181,34 +181,34 @@ PINNED_DISCRETE = {
 PINNED_GAUSSIAN = {
     "standard-gaussian": (
         IIDSymmetric(distribution="standard-gaussian"),
-        [[1.39516685218, 0.4722977021777, 0.7970454646007, 1.624674150917, 0.6228169761587],
-         [1.003101074346, -0.2856079810861, -1.196501900192, 0.9350683571024, 0.06314088019485],
-         [0.6434248774444, 0.942067075984, -0.6678977155354, -1.878706317075, -0.6654320162923],
-         [-0.1710197646071, 0.8761198737547, 0.7917997219269, -1.316222833054, -0.5331596619878],
-         [1.620325398248, -0.2394918096477, 0.7378669079177, 1.559247902371, -0.8432852122877],
-         [-1.053332394754, 0.738846254326, -0.01996410651092, -1.997135018702, 0.2123170090776],
-         [0.8243759239241, 1.482452712455, -0.1822509973657, 0.0450560223684, -0.06738327859739]],
+        [[-1.267465426594, -1.898312168545, 0.5425772670264, -1.852450710214, -1.977751571346],
+         [1.3910622803, 0.7482938271228, 0.9710330162878, 0.09478766474394, -0.03220831000095],
+         [0.1324322073965, 1.75826172958, 1.138837575536, -1.171680701028, 1.332991244718],
+         [-0.2458129632399, -0.581878884128, 0.4539734051678, 0.01718265731948, 1.14989010926],
+         [-0.6191310711791, -0.8979020441649, -0.2216502674639, -0.5866633881186, -0.9329126508055],
+         [-1.480382129276, -1.209997146296, -0.8547893411053, -0.86863388264, -0.7088557271437],
+         [-1.237892210173, -0.2417022479126, 0.6256563408872, 1.971928100439, -0.770706056084]],
     ),
     "ar1": (
         GaussianAR1(p=0.6),
-        [[1.39516685218, 0.4722977021777, 0.7970454646007, 1.624674150917, 0.6228169761587],
-         [1.639580970785, 0.05489223643774, -0.4789742413928, 1.722859176232, 0.4242028898511],
-         [1.498488484426, 0.7865890026499, -0.821702717264, -0.4692495479206, -0.2778238791232],
-         [0.76227727897, 1.172849300594, 0.1404181471831, -1.334527995195, -0.5932220570642],
-         [1.75362668598, 0.512116132638, 0.6745444146441, 0.4466815247793, -1.030561404069],
-         [0.2095100957847, 0.8983466830436, 0.3887553635777, -1.329699100094, -0.4484832351791],
-         [0.7852067966101, 1.724970179791, 0.08745242025403, -0.7617746421617, -0.3229965639854]],
+        [[-1.267465426594, -1.898312168545, 0.5425772670264, -1.852450710214, -1.977751571346],
+         [0.3523705682839, -0.540352239429, 1.102372773246, -1.035640294333, -1.212417590809],
+         [0.3173681068875, 1.082398040006, 1.572493724376, -1.558728737422, 0.3389424412896],
+         [-0.006229506459406, 0.1839357167014, 1.30667495876, -0.9214911165979, 1.123277552182],
+         [-0.4990425608189, -0.6079602053111, 0.6066847612849, -1.022225380454, -0.07236358933525],
+         [-1.483731239912, -1.332773840223, -0.3198206161133, -1.308242334384, -0.6105027353161],
+         [-1.880552512086, -0.9930261024641, 0.3086327030418, 0.7925970797205, -0.9828664860569]],
     ),
 }
 
 PINNED_REMARK1_CHAIN = [
-    [1.139148964629, 0.3856294590081, 0.6507848966904, 1.326540889345, 0.5085279315773],
-    [1.2788740542, -0.009140610682917, -0.5206621589828, 1.324463620853, 0.2989113103445],
-    [1.094407121125, 0.6615717124194, -0.7326060832855, -0.6662141662352, -0.3210758359667],
-    [0.4262743252918, 0.950296160074, 0.1935839110734, -1.263817173922, -0.53753873043],
-    [1.358880239476, 0.3058017973964, 0.6185426497385, 0.4706461783559, -0.865062057298],
-    [-0.06537835943637, 0.6753440953864, 0.295154569775, -1.176864625491, -0.282400231769],
-    [0.5502326263354, 1.385924413459, 0.01870636877219, -0.5565728937957, -0.1888472891193],
+    [-1.034881187258, -1.549965395151, 0.4430124834162, -1.512519671227, -1.614827395929],
+    [0.4661889778241, -0.2458590580969, 0.9081302722812, -0.6892348351, -0.8301884123766],
+    [0.3267382008096, 1.120349263038, 1.259344908472, -1.173120786633, 0.5274729422144],
+    [-0.01044691280568, 0.1487241267229, 0.9506801275086, -0.5744104198069, 1.076831564984],
+    [-0.4430152352768, -0.5605505609088, 0.3186096565787, -0.702038869916, -0.1212530791471],
+    [-1.268295859997, -1.135872467817, -0.4451225112922, -0.9652363437411, -0.5618632311198],
+    [-1.50946990619, -0.7388455324353, 0.2198445856876, 0.911745559962, -0.8259030941184],
 ]
 
 
@@ -231,28 +231,24 @@ def test_remark1_sample_matrix_draws_are_pinned():
     np.testing.assert_allclose(sample_matrix(config, 2), PINNED_REMARK1_CHAIN, rtol=1e-10, atol=0)
 
 
-# The row-loop samplers and the concatenating Box-Muller transform as they
-# stood before vectorisation: references that the current samplers must match
-# bit for bit, at the acceptance shape and at degenerate ones.
-def reference_normals(stream, shape):
-    total = int(np.prod(shape))
-    pairs = (total + 1) // 2
-    u1 = 1.0 - stream.random(pairs)
-    u2 = stream.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(theta), radius * np.sin(theta)])
-    return z[:total].reshape(shape)
-
-
+# The row-loop samplers as they stood before vectorisation, and a
+# word-by-word Rademacher sampler: references that the current samplers must
+# match bit for bit, at the acceptance shape and at degenerate ones.
 def reference_ar1(model, m, count, stream):
-    z = reference_normals(stream, (m, count))
+    z = stream.standard_normal((m, count))
     x = np.empty((m, count))
     x[0] = z[0]
     c = np.sqrt(1.0 - model.p * model.p)
     for i in range(1, m):
         x[i] = model.p * x[i - 1] + c * z[i]
     return x
+
+
+def reference_rademacher(model, m, count, stream):
+    sig = float(np.sqrt(model.variance))
+    words = [int(w) for w in stream.bit_generator.random_raw((m * count + 63) // 64)]
+    signs = [sig if words[i // 64] >> (i % 64) & 1 else -sig for i in range(m * count)]
+    return np.array(signs).reshape(m, count)
 
 
 def reference_twostate(model, m, count, stream):
@@ -290,6 +286,40 @@ SPARSE_CHAIN = FiniteMarkovChain(
 )
 
 
+# every cumulative threshold a multiple of 1/64, so each sits on an edge of
+# the sampler's cells (at least 64 per threshold, a power of two)
+DYADIC_CHAIN = FiniteMarkovChain(
+    states=(-3.0, -1.0, 1.0, 3.0),
+    transition=tuple(
+        tuple(c / 64 for c in row)
+        for row in ((27, 21, 9, 7), (21, 27, 7, 9), (9, 7, 27, 21), (7, 9, 21, 27))
+    ),
+    stationary=(0.25, 0.25, 0.25, 0.25),
+)
+
+# thresholds 0.3, 0.3 + d, 0.3 + 2d and 0.7 - 2d, 0.7 - d, 0.7 cluster three
+# to a cell, so draws in those cells fall between thresholds
+_D = 0.00025
+CLUSTERED_CHAIN = FiniteMarkovChain(
+    states=(-3.0, -1.0, 1.0, 3.0),
+    transition=(
+        (0.3, _D, _D, 0.7 - 2 * _D),
+        (_D, 0.3, 0.7 - 2 * _D, _D),
+        (_D, 0.7 - 2 * _D, 0.3, _D),
+        (0.7 - 2 * _D, _D, _D, 0.3),
+    ),
+    stationary=(0.25, 0.25, 0.25, 0.25),
+)
+
+
+def test_edge_case_chains_hit_the_cell_edges_they_claim():
+    for chain, most_inside in ((DYADIC_CHAIN, 0), (CLUSTERED_CHAIN, 3)):
+        cells = np.asarray(chain._thresholds) * chain._grid
+        cells = cells[cells < chain._grid]
+        inside = np.floor(cells[cells != np.floor(cells)])
+        counts = np.unique(inside, return_counts=True)[1]
+        assert max(counts, default=0) == most_inside
+
 
 def doubly_stochastic_chain(nstates: int, mixands: int, seed: int) -> FiniteMarkovChain:
     """A random mixture of permutation matrices: uniform stationary law,
@@ -318,6 +348,10 @@ REFERENCE_SAMPLERS = {
     "twostate": (TwoStateChain(alpha=0.4), reference_twostate),
     "chain": (three_state_chain(), reference_chain),
     "sparse-chain": (SPARSE_CHAIN, reference_chain),
+    "dyadic-chain": (DYADIC_CHAIN, reference_chain),
+    "clustered-chain": (CLUSTERED_CHAIN, reference_chain),
+    "rademacher": (IIDSymmetric(), reference_rademacher),
+    "rademacher-var2": (IIDSymmetric(variance=2.0), reference_rademacher),
 }
 REFERENCE_KEYS = [(0, 0), (11, 2), (7, 199), (2**64 - 1, 3)]
 
@@ -343,13 +377,18 @@ def test_chain_sampler_memory_does_not_grow_with_the_states():
         tracemalloc.stop()
     assert peak < 2_000_000
     assert np.array_equal(got, reference_chain(chain, 4, 8, replicate_stream(1, 0)))
-
-
-@pytest.mark.parametrize("shape", [(150, 300), (1, 3), (33, 1), (1,)])
-def test_standard_normals_match_concatenate_reference_bit_for_bit(shape):
-    for key in REFERENCE_KEYS:
-        got = standard_normals(replicate_stream(*key), shape)
-        assert np.array_equal(got, reference_normals(replicate_stream(*key), shape))
+    # 50 states with 1723 thresholds: a successor table of 86k entries fits a
+    # 300 x 500 draw, but adding the 131k-cell table of the coder does not,
+    # so the draw keeps its memory within a few copies of the draws
+    chain = doubly_stochastic_chain(50, 60, seed=5)
+    tracemalloc.start()
+    try:
+        got = sample_paths(chain, 300, 500, replicate_stream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * got.nbytes
+    assert np.array_equal(got, reference_chain(chain, 300, 500, replicate_stream(1, 0)))
 
 
 def empirical_lag_cov(x: np.ndarray, lag: int) -> float:

@@ -159,7 +159,8 @@ def test_report_shape_and_fields():
     report = run_monte_carlo(config)
     assert [row.k for row in report.moments] == [1, 2, 3, 4]
     doc = json.loads(report.to_json())
-    assert set(doc) == {"config", "moments", "runtime_seconds"}
+    assert set(doc) == {"config", "moments", "runtime_seconds", "provenance"}
+    assert doc["provenance"] == {"sampler_stream": 2, "numpy": np.__version__}
     assert "runtime_seconds" not in report.payload()
     assert doc["config"] == {
         "model": "ar1:p=0.5",
@@ -175,6 +176,27 @@ def test_report_shape_and_fields():
             "k", "predicted_limit", "predicted_finite", "empirical_mean", "empirical_stderr",
         }
         assert row["empirical_stderr"] > 0
+
+
+def test_provenance_leaves_the_payload_bytes_alone():
+    report = run_monte_carlo(small_config())
+    doc = json.loads(report.to_json())
+    assert doc.pop("provenance") == report.provenance()
+    doc.pop("runtime_seconds")
+    assert "provenance" not in report.payload()
+    payload_text = json.dumps(report.payload(), indent=2) + "\n"
+    assert json.dumps(doc, indent=2) + "\n" == payload_text
+    assert report.to_json(include_runtime=False) == payload_text
+
+
+def test_provenance_keeps_reports_identical_across_worker_counts():
+    docs = []
+    for workers in (1, 3):
+        doc = json.loads(run_monte_carlo(small_config(), workers=workers).to_json())
+        doc.pop("runtime_seconds")
+        docs.append(doc)
+    assert "provenance" in docs[0]
+    assert docs[0] == docs[1]
 
 
 def test_report_floats_are_rounded_to_12_significant_digits():
