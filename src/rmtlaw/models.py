@@ -4,12 +4,13 @@ Four variants: symmetric i.i.d. entries, the Gaussian AR(1) process, the
 symmetric two-state Markov chain, and user-supplied finite Markov chains.
 All have zero mean and geometrically decaying autocovariance R(j), so the
 m x m covariance of a length-m window is the Toeplitz matrix R(|i - i'|).
-Each variant is one class that owns its autocovariances, decay rate,
-spectral density, path sampler and text form.
+Each variant is one class that owns its autocovariances, decay rate, path
+sampler and text form.
 
 Trace moments H_k come either from eigenvalues of a finite window
-(``h_finite``) or from the spectral density f of the autocovariance sequence
-(``h_szego``; H_k = integral of f^k over one period).  ``isserlis_moment``
+(``h_finite``) or, in the limit, from the autocovariances alone
+(``h_szego``; H_k = integral of f^k over one period, f the spectral
+density sum_j R(j) exp(2 pi i j x)).  ``isserlis_moment``
 and ``chain_joint_moment`` give exact joint moments for the Gaussian and
 finite-chain cases and power the simulator cross-checks;
 ``expected_moments`` gives the exact finite-(m, n) spectral moments.
@@ -27,19 +28,12 @@ from typing import Sequence, Union
 import numpy as np
 
 from .combinatorics import Partition, enumerate_partitions
-from .errors import (
-    BoundError,
-    DomainError,
-    NumericError,
-    ParseError,
-    UnsupportedModelError,
-)
+from .errors import BoundError, DomainError, NumericError, ParseError
 from .moments import DEFAULT_MAX_K, ORIGIN_SZEGO, HSequence, finite_trace_origin
 
 RADEMACHER = "rademacher"
 STANDARD_GAUSSIAN = "standard-gaussian"
 
-SIMPSON_PANELS = 4096
 MAX_SZEGO_DECAY = 0.95
 
 MAX_ISSERLIS_INDICES = 12
@@ -75,15 +69,9 @@ def _power_means(eig: np.ndarray, k_max: int) -> np.ndarray:
 class StationaryModel:
     """A zero-mean stationary column process.  Each model defines
     ``autocovariances(max_lag)``, ``decay_rate()``, ``sample_paths(m, count,
-    stream)`` and ``text()``, and may override the two defaults below; the
+    stream)`` and ``text()``, and may override the default below; the
     module-level functions of the same names check arguments and call these.
     """
-
-    def spectral_density(self, x):
-        raise UnsupportedModelError(
-            "spectral density is implemented only for models with R(j) = rho^j "
-            f"(i.i.d., AR(1), two-state chain); got {type(self).__name__}"
-        )
 
     def chain_form(self) -> FiniteMarkovChain | None:
         """The process as an explicit finite-state chain; None if Gaussian."""
@@ -101,15 +89,6 @@ class _GeometricModel(StationaryModel):
 
     def decay_rate(self) -> float:
         return abs(self.rho)
-
-    def spectral_density(self, x):
-        rho = self.rho
-        xv = np.asarray(x, dtype=float)
-        denom = 1.0 - 2.0 * rho * np.cos(2.0 * np.pi * xv) + rho * rho
-        out = self.variance * (1.0 - rho * rho) / denom
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
 
 
 @dataclass(frozen=True)
@@ -419,35 +398,34 @@ def h_finite(model: StationaryModel, m: int, k_max: int) -> HSequence:
     return HSequence(tuple(float(v) for v in values), origin=finite_trace_origin(m))
 
 
-def spectral_density(model: StationaryModel, x):
-    """Spectral density f(x) = sum_j R(j) exp(2 pi i j x) on [0, 1].
-
-    For R(j) = variance * rho^|j| this is the closed form
-    variance * (1 - rho^2) / (1 - 2 rho cos(2 pi x) + rho^2).  Accepts a
-    scalar or an array; general finite chains are not supported.
-    """
-    return model.spectral_density(x)
-
-
 def h_szego(model: StationaryModel, k_max: int) -> HSequence:
-    """Limiting trace moments H_k = integral_0^1 f(x)^k dx via composite
-    Simpson quadrature with 4096 panels.  Rejects |rho| > 0.95, where the
-    density peaks too sharply for this fixed rule."""
+    """Limiting trace moments H_k = integral_0^1 f(x)^k dx, k = 1..k_max, of
+    the spectral density f(x) = sum_j R(j) exp(2 pi i j x).
+
+    R is cut at the least lag L with rate^L / (1 - rate) <= 2^-60, which
+    bounds the dropped tail of f.  f is then a cosine polynomial of degree L,
+    so f^k has degree k L, and the trapezoid rule on a power of two of nodes
+    above max(k_max, 2) L integrates every f^k exactly.  Rejects decay rates
+    above ``MAX_SZEGO_DECAY`` = 0.95."""
     if not 1 <= k_max <= DEFAULT_MAX_K:
         raise BoundError(f"need 1 <= k_max <= {DEFAULT_MAX_K}, got {k_max}")
-    grid = np.linspace(0.0, 1.0, SIMPSON_PANELS + 1)
-    fx = spectral_density(model, grid)  # first, so chains raise UnsupportedModelError
     rate = decay_rate(model)
     if rate > MAX_SZEGO_DECAY:
         raise DomainError(
-            f"|rho| = {rate} > {MAX_SZEGO_DECAY}: density too peaked for the fixed rule"
+            f"decay rate {rate} exceeds {MAX_SZEGO_DECAY}, the largest with limiting trace moments"
         )
-    weights = np.ones(SIMPSON_PANELS + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= 1.0 / (3.0 * SIMPSON_PANELS)
-    values = tuple(float(weights @ fx**k) for k in range(1, k_max + 1))
-    return HSequence(values, origin=ORIGIN_SZEGO)
+    lags = 0 if rate == 0 else math.ceil((math.log2(1.0 - rate) - 60) / math.log2(rate))
+    nodes = 1 << (max(k_max, 2) * lags).bit_length()
+    fx = np.fft.hfft(autocovariances(model, lags), nodes)  # f(j / nodes)
+    power = np.ones(nodes)
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k_max):
+            power *= fx
+            values.append(float(power.mean()))
+    if not np.isfinite(values).all():
+        raise NumericError(f"limiting trace moments up to order {k_max} overflow a float: {values}")
+    return HSequence(tuple(values), origin=ORIGIN_SZEGO)
 
 
 def sample_paths(
@@ -457,11 +435,6 @@ def sample_paths(
     if m < 1 or count < 1:
         raise DomainError(f"need m >= 1 and count >= 1, got m={m}, count={count}")
     return model.sample_paths(m, count, stream)
-
-
-def sample_path(model: StationaryModel, m: int, stream: np.random.Generator) -> np.ndarray:
-    """One stationary path of length m."""
-    return sample_paths(model, m, 1, stream)[:, 0]
 
 
 def _pairings(items: tuple[int, ...]):

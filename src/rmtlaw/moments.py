@@ -43,7 +43,6 @@ MAX_NC_SUM_K = 10
 
 ORIGIN_USER = "user"
 ORIGIN_SZEGO = "szego-quadrature"
-ORIGIN_CLOSED_FORM = "closed-form"
 
 
 def finite_trace_origin(m: int) -> str:
@@ -54,8 +53,8 @@ def finite_trace_origin(m: int) -> str:
 class HSequence:
     """Trace moments H_1..H_K of a covariance family, H_k = (1/m) tr(T^k) or
     its limit.  ``origin`` records where the values came from: "finite-trace(m)",
-    "szego-quadrature", "closed-form", or "user".  The mixed trace moments Q
-    of ``qform_moment`` use the same type under the name ``QSequence``."""
+    "szego-quadrature" or "user".  The mixed trace moments Q of
+    ``qform_moment`` use the same type under the name ``QSequence``."""
 
     values: tuple[float, ...]
     origin: str = ORIGIN_USER

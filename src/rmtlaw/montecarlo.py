@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, NumericError, UnsupportedModelError
+from .errors import BudgetError, DomainError, NumericError
 from .models import (
     MAX_SZEGO_DECAY,
     StationaryModel,
@@ -269,8 +269,8 @@ class MomentReport:
 def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) -> MomentReport:
     """Run all replicates and assemble the report.
 
-    The limiting prediction uses quadrature trace moments when the model has
-    a spectral density the quadrature rule supports, else null.  The finite
+    The limiting prediction uses the limiting trace moments of ``h_szego``
+    when the model's decay rate is at most 0.95, else null.  The finite
     prediction uses the eigenvalues of the m-window covariance.  Each
     replicate reduces to its k_max moments through traces of powers of W,
     without an eigendecomposition.  Replicates are farmed out to a thread
@@ -283,11 +283,8 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
     start = time.monotonic()
     finite = h_finite(config.model, config.m, config.k_max)
     limit_values: tuple[float, ...] | None = None
-    if decay_rate(config.model) <= MAX_SZEGO_DECAY:  # else too peaked for the quadrature rule
-        try:
-            limit_values = h_szego(config.model, config.k_max).values
-        except UnsupportedModelError:  # no spectral density
-            pass
+    if decay_rate(config.model) <= MAX_SZEGO_DECAY:
+        limit_values = h_szego(config.model, config.k_max).values
 
     y = config.y
     predicted_finite = [limiting_moment(k, y, finite) for k in range(1, config.k_max + 1)]

@@ -3,9 +3,12 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rmtlaw import HSequence, limiting_moment
+from rmtlaw import HSequence, h_szego, limiting_moment, parse_model
 from rmtlaw.cli import main
 
 
@@ -86,7 +89,7 @@ def test_predict_weighted_form(capsys):
         ("predict", "--h", "1,-inf", "--y", "0.5"),
         ("predict", "--h", "1,2", "--htilde", "1,nan", "--y", "0.5"),
         ("predict", "--h", "1,2", "--y", "1", "--kmax", "0"),
-        ("predict", "--model", "ar1:p=0.97", "--y", "1"),  # too peaked for the quadrature
+        ("predict", "--model", "ar1:p=0.97", "--y", "1"),  # decay rate above 0.95
     ],
 )
 def test_predict_usage_errors(capsys, argv):
@@ -122,20 +125,81 @@ def test_window_trace_overflow_is_numeric_error(capsys):
     assert err.startswith("rmtlaw: numeric error:")
 
 
-def test_predict_model_without_spectral_density_is_usage_error(capsys, tmp_path):
-    path = tmp_path / "chain.json"
+def write_chain(path, states, transition, stationary):
     path.write_text(
-        json.dumps(
-            {
-                "states": [-1.0, 0.0, 1.0],
-                "transition": [[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]],
-                "stationary": [1 / 3, 1 / 3, 1 / 3],
-            }
-        )
+        json.dumps({"states": states, "transition": transition, "stationary": stationary})
     )
-    code, _, err = run(capsys, "predict", "--model", f"chain:file={path}", "--y", "1")
+    return f"chain:file={path}"
+
+
+def test_predict_chain_model_prints_its_limit(capsys, tmp_path):
+    model = write_chain(
+        tmp_path / "chain.json",
+        [-1.0, 0.0, 1.0],
+        [[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]],
+        [1 / 3, 1 / 3, 1 / 3],
+    )
+    code, out, _ = run(capsys, "predict", "--model", model, "--y", "1", "--quiet")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["h_origin"] == "szego-quadrature"
+    want = h_szego(parse_model(model), 4)
+    for row in doc["rows"]:
+        assert row["h"] == float(format(want.value(row["k"]), ".12g"))
+        assert row["moment"] == float(format(limiting_moment(row["k"], 1.0, want), ".12g"))
+
+
+def test_predict_periodic_chain_is_usage_error(capsys, tmp_path):
+    model = write_chain(tmp_path / "flip.json", [1.0, -1.0], [[0, 1], [1, 0]], [0.5, 0.5])
+    code, out, err = run(capsys, "predict", "--model", model, "--y", "1")
     assert code == 2
-    assert "spectral density" in err
+    assert out == "" and "decay rate" in err
+    code, out, _ = run(
+        capsys, "simulate", "--model", model, "--m", "6", "--n", "6", "--reps", "2", "--quiet"
+    )
+    assert code == 0
+    assert all(row["predicted_limit"] is None for row in json.loads(out)["moments"])
+
+
+@st.composite
+def chain_files(draw):
+    """A valid chain on 2-6 states with sparse integer-weighted rows; an
+    empty row steps to the next state, so periodic and reducible chains
+    come up often.  The stationary law is the limit of the lazy chain
+    (I + P)/2, which is aperiodic and has the stationary laws of P, from a
+    uniform start; the state values are centred under it."""
+    n = draw(st.integers(2, 6))
+    rows = []
+    for i in range(n):
+        weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=n, max_size=n))
+        if not any(weights):
+            weights = [int(j == (i + 1) % n) for j in range(n)]
+        rows.append([w / sum(weights) for w in weights])
+    lazy = (np.eye(n) + np.array(rows)) / 2
+    for _ in range(60):
+        lazy = lazy @ lazy
+        lazy /= lazy.sum(axis=1, keepdims=True)
+    pi = lazy.mean(axis=0)
+    values = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    return {"states": (values - pi @ values).tolist(), "transition": rows,
+            "stationary": pi.tolist()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=chain_files())
+def test_random_chain_files_exit_cleanly(capsys, tmp_path, doc):
+    model = write_chain(tmp_path / "random.json", **doc)
+    for argv in (
+        ("predict", "--model", model, "--y", "0.5", "--kmax", "6", "--quiet"),
+        ("simulate", "--model", model, "--m", "8", "--n", "12", "--reps", "2", "--quiet"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert out == ""
+        else:
+            assert json.loads(out)
 
 
 def test_unknown_subcommand(capsys):

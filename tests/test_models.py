@@ -14,10 +14,10 @@ from rmtlaw import (
     FiniteMarkovChain,
     GaussianAR1,
     IIDSymmetric,
+    NumericError,
     ParseError,
     SimConfig,
     TwoStateChain,
-    UnsupportedModelError,
     as_finite_chain,
     autocovariances,
     chain_joint_moment,
@@ -32,9 +32,7 @@ from rmtlaw import (
     parse_model,
     replicate_stream,
     sample_matrix,
-    sample_path,
     sample_paths,
-    spectral_density,
 )
 from conftest import three_state_chain
 
@@ -80,16 +78,6 @@ def test_h_finite_first_moment_is_variance():
         )
 
 
-def test_spectral_density_values():
-    f0 = spectral_density(GaussianAR1(p=0.5), 0.0)
-    assert f0 == pytest.approx(3.0, rel=1e-14)  # (1-1/4)/(1-1+1/4)
-    grid = np.linspace(0.0, 1.0, 100001)
-    fx = spectral_density(GaussianAR1(p=0.5), grid)
-    assert fx.shape == grid.shape
-    assert np.trapezoid(fx, grid) == pytest.approx(1.0, abs=1e-8)  # integral is R(0)
-    assert spectral_density(IIDSymmetric(variance=2.0), 0.3) == pytest.approx(2.0)
-
-
 def test_h_szego_closed_form_second_moment():
     # geometric-series sum of R(j)^2 gives H_2 = (1+p^2)/(1-p^2)
     for p in (0.3, 0.5, -0.6):
@@ -106,17 +94,98 @@ def test_h_szego_first_moment_and_origin():
 def test_h_szego_independent_entries():
     h = h_szego(IIDSymmetric(variance=2.0), 3)
     assert h.values == pytest.approx((2.0, 4.0, 8.0), rel=1e-12)
+    # 3^20 fits in 53 bits, so every 1.5^l is exact
+    assert h_szego(IIDSymmetric(variance=1.5), 20).values == tuple(1.5**l for l in range(1, 21))
+
+
+GEOMETRIC_RHOS = (0.0, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.4, -0.4, 0.5, -0.5, 0.6, -0.6,
+                  0.7, -0.7, 0.8, -0.8, 0.9, 0.95)
+
+
+def legendre_traces(rho: float, k_max: int) -> list[float]:
+    """H_l = P_{l-1}((1 + rho^2)/(1 - rho^2)) for R(j) = rho^|j| (Laplace's
+    integral), by the three-term Legendre recurrence."""
+    x = (1 + rho * rho) / (1 - rho * rho)
+    p = [1.0, x]
+    for n in range(1, k_max - 1):
+        p.append(((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1))
+    return p[:k_max]
+
+
+def simpson_traces(rho: float, k_max: int) -> list[float]:
+    """H_l by composite Simpson quadrature, 4096 panels, of the closed-form
+    density (1 - rho^2)/(1 - 2 rho cos(2 pi x) + rho^2) of R(j) = rho^|j|."""
+    panels = 4096
+    x = np.linspace(0.0, 1.0, panels + 1)
+    fx = (1 - rho * rho) / (1 - 2 * rho * np.cos(2 * np.pi * x) + rho * rho)
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights /= 3.0 * panels
+    return [float(weights @ fx**l) for l in range(1, k_max + 1)]
+
+
+@pytest.mark.parametrize("rho", GEOMETRIC_RHOS)
+def test_h_szego_matches_legendre_closed_form(rho):
+    got = h_szego(GaussianAR1(p=rho), 20).values
+    assert got == pytest.approx(legendre_traces(rho, 20), rel=1e-13)
+    # the two-state chain has the same R(j)
+    assert h_szego(TwoStateChain(alpha=rho), 20).values == got
+
+
+@pytest.mark.parametrize("rho", [r for r in GEOMETRIC_RHOS if abs(r) <= 0.9])
+def test_h_szego_matches_simpson_reference(rho):
+    assert h_szego(GaussianAR1(p=rho), 20).values == pytest.approx(
+        simpson_traces(rho, 20), rel=1e-12
+    )
+
+
+def test_h_szego_rational_values_at_one_half():
+    # P_1(5/3) = 5/3 and P_2(5/3) = (3 (25/9) - 1)/2 = 11/3
+    h = h_szego(GaussianAR1(p=0.5), 3).values
+    assert h == pytest.approx((1.0, 5 / 3, 11 / 3), rel=1e-14)
+
+
+def test_h_szego_two_state_chain_matches_its_chain_form():
+    for alpha in (-0.7, 0.4, 0.9):
+        model = TwoStateChain(alpha=alpha)
+        assert h_szego(model.chain_form(), 20).values == pytest.approx(
+            h_szego(model, 20).values, rel=1e-13
+        )
+
+
+NON_REVERSIBLE_CHAIN = FiniteMarkovChain(
+    states=(-1.0, 0.0, 1.0),
+    transition=((0.1, 0.6, 0.3), (0.3, 0.1, 0.6), (0.6, 0.3, 0.1)),
+    stationary=(1 / 3, 1 / 3, 1 / 3),
+)
+
+
+@pytest.mark.parametrize("chain", [three_state_chain(), NON_REVERSIBLE_CHAIN],
+                         ids=["symmetric", "non-reversible"])
+def test_h_szego_chain_matches_extrapolated_windows(chain):
+    # (1/m) tr T_m^k = H_k + c_k / m up to terms geometric in m, so the
+    # Richardson step 2 h(2m) - h(m) leaves H_k
+    windows = [np.array(h_finite(chain, m, 8).values) for m in (200, 400)]
+    assert h_szego(chain, 8).values == pytest.approx(2 * windows[1] - windows[0], rel=1e-9)
 
 
 def test_h_szego_rejections():
-    with pytest.raises(UnsupportedModelError):
-        h_szego(three_state_chain(), 2)
-    with pytest.raises(UnsupportedModelError):
-        spectral_density(three_state_chain(), 0.0)
+    periodic = FiniteMarkovChain(
+        states=(1.0, -1.0), transition=((0.0, 1.0), (1.0, 0.0)), stationary=(0.5, 0.5)
+    )
+    assert decay_rate(periodic) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DomainError, match="decay rate"):
+        h_szego(periodic, 2)
     with pytest.raises(DomainError):
         h_szego(GaussianAR1(p=0.96), 2)
     with pytest.raises(BoundError):
         h_szego(GaussianAR1(p=0.5), 21)
+
+
+def test_h_szego_overflow_is_numeric_error():
+    with pytest.raises(NumericError):
+        h_szego(IIDSymmetric(variance=1e200), 2)
 
 
 def test_h_finite_approaches_szego():
@@ -148,7 +217,6 @@ def test_sampler_shapes_and_support():
     ):
         x = sample_paths(model, 17, 9, stream)
         assert x.shape == (17, 9)
-    assert sample_path(GaussianAR1(p=0.2), 12, stream).shape == (12,)
     assert set(np.unique(sample_paths(IIDSymmetric(), 50, 20, stream))) == {-1.0, 1.0}
     assert set(np.unique(sample_paths(TwoStateChain(alpha=0.5), 50, 20, stream))) <= {-1.0, 1.0}
     vals = set(np.unique(sample_paths(three_state_chain(), 50, 40, stream)))

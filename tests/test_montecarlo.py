@@ -16,6 +16,8 @@ from rmtlaw import (
     TwoStateChain,
     covariance_matrix,
     eigenvalue_histogram,
+    h_szego,
+    limiting_moment,
     replicate_stream,
     run_monte_carlo,
     sample_matrix,
@@ -207,10 +209,13 @@ def test_report_floats_are_rounded_to_12_significant_digits():
         assert row["predicted_finite"] == float(format(raw.predicted_finite, ".12g"))
 
 
-def test_chain_model_has_no_limit_prediction():
-    report = run_monte_carlo(small_config(model=three_state_chain(), replicates=2))
-    assert all(row.predicted_limit is None for row in report.moments)
-    assert all(row.predicted_finite != 0 for row in report.moments)
+def test_chain_model_gets_limit_prediction():
+    config = small_config(model=three_state_chain(), replicates=2)
+    report = run_monte_carlo(config)
+    h = h_szego(three_state_chain(), config.k_max)
+    for row in report.moments:
+        assert row.predicted_limit == limiting_moment(row.k, config.y, h)
+        assert row.predicted_finite != row.predicted_limit
 
 
 def test_peaked_model_has_no_limit_prediction():
