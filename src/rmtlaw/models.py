@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -259,7 +259,7 @@ class FiniteMarkovChain(StationaryModel):
     def decay_rate(self) -> float:
         """The second-largest transition eigenvalue modulus."""
         mods = np.sort(np.abs(np.linalg.eigvals(np.array(self.transition))))[::-1]
-        return float(mods[1]) if len(mods) > 1 else 0.0
+        return float(mods[1])
 
     @cached_property
     def _cum_rows(self) -> np.ndarray:
@@ -350,16 +350,6 @@ class FiniteMarkovChain(StationaryModel):
 
     def chain_form(self) -> FiniteMarkovChain:
         return self
-
-
-ChainModel = Union[TwoStateChain, FiniteMarkovChain]
-
-
-def as_finite_chain(model: ChainModel) -> FiniteMarkovChain:
-    """The explicit state-space form of a chain model."""
-    if not isinstance(model, (TwoStateChain, FiniteMarkovChain)):
-        raise DomainError(f"not a chain model: {model!r}")
-    return model.chain_form()
 
 
 def autocovariances(model: StationaryModel, max_lag: int) -> np.ndarray:
@@ -491,11 +481,14 @@ def isserlis_moment(cov, indices: Sequence[int]) -> float:
     return total
 
 
-def chain_joint_moment(chain: ChainModel, indices: Sequence[int]) -> float:
-    """Exact E[a(i_1) ... a(i_r)] for a stationary finite chain, evaluated as
-    a product of state-value weightings interleaved with transition powers.
-    Indices must be sorted ascending (repeats allowed)."""
-    fchain = as_finite_chain(chain)
+def chain_joint_moment(model: StationaryModel, indices: Sequence[int]) -> float:
+    """Exact E[a(i_1) ... a(i_r)] for a model with a finite-chain form (chains
+    and Rademacher i.i.d. entries), evaluated as a product of state-value
+    weightings interleaved with transition powers.  Indices must be sorted
+    ascending (repeats allowed).  Gaussian models raise ``DomainError``."""
+    fchain = model.chain_form()
+    if fchain is None:
+        raise DomainError(f"not a finite-chain model: {model!r}")
     idx = [int(i) for i in indices]
     if not idx:
         return 1.0
@@ -604,12 +597,7 @@ def expected_moments(model: StationaryModel, m: int, n: int, k_max: int) -> np.n
             return _chain_partition_sum(chain, m, partition)
 
     else:
-        t = covariance_matrix(model, m)
-        traces = []
-        power = np.eye(m)
-        for _ in range(k_max):
-            power = power @ t
-            traces.append(float(np.trace(power)))
+        traces = [m * h for h in h_finite(model, m, k_max).values]
 
         def partition_sum(partition: Partition) -> float:
             return _gaussian_partition_sum(partition, traces)
@@ -623,66 +611,6 @@ def expected_moments(model: StationaryModel, m: int, n: int, k_max: int) -> np.n
                 total += labellings * partition_sum(partition)
         out[k - 1] = total / (m * n**k)
     return out
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Worst observed remainder ratio when a joint chain moment is replaced
-    by the product over consecutive index pairs of pair covariances.  The
-    remainder is divided by sum_l rate^(gap between pair l and pair l+1)."""
-
-    k: int
-    trials: int
-    span: int
-    rate: float
-    max_ratio: float
-    worst_indices: tuple[int, ...]
-    worst_remainder: float
-
-
-def check_product_decay(
-    chain: ChainModel,
-    k: int,
-    trials: int,
-    stream: np.random.Generator,
-    span: int = 40,
-) -> DecayReport:
-    """Empirical sweep: does |E prod a(i_j) - prod pair covariances| stay
-    within a constant times the geometric decay over between-pair gaps?
-
-    Sorted 2k-tuples are drawn uniformly from 1..span.  A zero remainder
-    counts as ratio 0 (for k = 1 it vanishes identically); a nonzero
-    remainder with an empty or zero denominator reports ratio inf.
-    """
-    if not 1 <= k <= 4:
-        raise BoundError(f"decay sweep supports 1 <= k <= 4, got {k}")
-    if trials < 1 or span < 2:
-        raise DomainError(f"need trials >= 1 and span >= 2, got {trials}, {span}")
-    fchain = as_finite_chain(chain)
-    rate = decay_rate(chain)
-    # pair covariances from the same primitive as the joint moment, so the
-    # k = 1 remainder cancels exactly
-    rtab = np.array([chain_joint_moment(fchain, (1, 1 + d)) for d in range(span)])
-    max_ratio = 0.0
-    worst: tuple[int, ...] = ()
-    worst_rem = 0.0
-    for _ in range(trials):
-        idx = np.sort(stream.integers(1, span + 1, size=2 * k))
-        moment = chain_joint_moment(fchain, idx)
-        prod = 1.0
-        for l in range(k):
-            prod *= rtab[idx[2 * l + 1] - idx[2 * l]]
-        remainder = moment - prod
-        if remainder == 0.0:
-            ratio = 0.0
-        else:
-            denom = sum(rate ** float(idx[2 * l] - idx[2 * l - 1]) for l in range(1, k))
-            ratio = abs(remainder) / denom if denom > 0 else math.inf
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = tuple(int(i) for i in idx)
-            worst_rem = float(remainder)
-    return DecayReport(k, trials, span, rate, max_ratio, worst, worst_rem)
 
 
 def model_text(model: StationaryModel) -> str:

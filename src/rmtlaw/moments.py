@@ -54,7 +54,7 @@ class HSequence:
     """Trace moments H_1..H_K of a covariance family, H_k = (1/m) tr(T^k) or
     its limit.  ``origin`` records where the values came from: "finite-trace(m)",
     "szego-quadrature" or "user".  The mixed trace moments Q of
-    ``qform_moment`` use the same type under the name ``QSequence``."""
+    ``qform_moment`` use the same type."""
 
     values: tuple[float, ...]
     origin: str = ORIGIN_USER
@@ -76,42 +76,11 @@ class HSequence:
         return self.values[k - 1]
 
 
-QSequence = HSequence
-
-
-@dataclass(frozen=True)
-class AspectRatio:
-    """Limit y of the row/column ratio m/n, optionally pinned to a shape."""
-
-    y: float
-    m: int | None = None
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        y = float(self.y)
-        if not (math.isfinite(y) and y > 0):
-            raise DomainError(f"aspect ratio must be a positive real, got {self.y!r}")
-        if (self.m is None) != (self.n is None):
-            raise DomainError("give both m and n or neither")
-        if self.m is not None:
-            if self.m < 1 or self.n < 1:
-                raise DomainError("matrix dimensions must be positive")
-            if y != self.m / self.n:
-                raise DomainError(f"y={y} does not equal m/n={self.m}/{self.n}")
-        object.__setattr__(self, "y", y)
-
-    @classmethod
-    def from_shape(cls, m: int, n: int) -> "AspectRatio":
-        return cls(m / n, m, n)
-
-
-Ratio = Union[float, AspectRatio]
+Ratio = Union[float, Fraction]
 Traces = Union[HSequence, Sequence[float]]
 
 
 def _ratio_value(y: Ratio) -> float:
-    if isinstance(y, AspectRatio):
-        return y.y
     v = float(y)
     if not (math.isfinite(v) and v > 0):
         raise DomainError(f"aspect ratio must be a positive real, got {y!r}")
@@ -119,9 +88,8 @@ def _ratio_value(y: Ratio) -> float:
 
 
 def _ratio_fraction(y: Ratio) -> Fraction:
-    if isinstance(y, AspectRatio) and y.m is not None:
-        return Fraction(y.m, y.n)
-    return Fraction(_ratio_value(y))
+    _ratio_value(y)
+    return Fraction(y)
 
 
 def _trace_values(h: Traces, k: int, what: str = "H", exact: bool = False) -> tuple:
@@ -202,8 +170,9 @@ def limiting_moment(k: int, y: Ratio, h: Traces, *, exact: bool = False) -> floa
 
     Accumulation order is fixed (ascending s) so float results are
     bit-reproducible.  With ``exact=True`` every operand is lifted to
-    Fraction and the exact rational value is returned; an AspectRatio
-    carrying (m, n) contributes the exact ratio m/n.
+    Fraction and the exact rational value is returned; pass y as
+    ``Fraction(m, n)`` for the exact ratio of an m x n shape, since a float
+    y is taken at its binary value.
     """
     _check_order(k)
     hk = _series_coefficients(h, k, exact=exact)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .models import (
     MAX_SZEGO_DECAY,
     StationaryModel,
     _fmt,
-    _power_means,
     _sig12,
     covariance_matrix,
     decay_rate,
@@ -34,13 +32,11 @@ from .models import (
     model_text,
     sample_paths,
 )
-from .moments import limiting_moment
+from .moments import DEFAULT_MAX_K, limiting_moment
 
 DEFAULT_MAX_M = 512
 DEFAULT_MAX_N = 1024
 DEFAULT_MAX_REPLICATES = 1000
-DEFAULT_BUDGET = DEFAULT_MAX_M * DEFAULT_MAX_N * DEFAULT_MAX_REPLICATES
-BUDGET_ENV = "RMTLAW_BUDGET"
 
 # Version of the draws a replicate takes from its stream: the Philox key, the
 # model samplers and the remark1 draw.  Stream 2 takes numpy's ziggurat for
@@ -50,9 +46,6 @@ SAMPLER_STREAM = 2
 
 MODE_DIRECT = "direct"
 MODE_REMARK1 = "remark1-gaussian"
-MAX_K_MAX = 20
-
-_SYMMETRY_TOL = 1e-8
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -77,8 +70,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.m < 2 or self.n < 2:
             raise DomainError(f"need m >= 2 and n >= 2, got m={self.m}, n={self.n}")
-        if not 1 <= self.k_max <= MAX_K_MAX:
-            raise DomainError(f"need 1 <= k_max <= {MAX_K_MAX}, got {self.k_max}")
+        if not 1 <= self.k_max <= DEFAULT_MAX_K:
+            raise DomainError(f"need 1 <= k_max <= {DEFAULT_MAX_K}, got {self.k_max}")
         if self.replicates < 1:
             raise DomainError(f"need replicates >= 1, got {self.replicates}")
         if not 0 <= self.seed < 2**64:
@@ -102,9 +95,8 @@ def check_shape(m: int, n: int, force: bool = False) -> None:
 
 
 def check_budget(config: SimConfig, force: bool = False) -> None:
-    """Refuse configurations past the size caps unless forced.  The work cap
-    m * n * replicates defaults to 512 * 1024 * 1000 and can be overridden
-    through the RMTLAW_BUDGET environment variable."""
+    """Refuse a run past the caps m <= 512, n <= 1024 and replicates <= 1000
+    unless forced."""
     if force:
         return
     check_shape(config.m, config.n)
@@ -112,19 +104,6 @@ def check_budget(config: SimConfig, force: bool = False) -> None:
         raise BudgetError(
             f"replicates = {config.replicates} exceeds the cap {DEFAULT_MAX_REPLICATES}; "
             "pass force to override"
-        )
-    budget = DEFAULT_BUDGET
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is not None:
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise BudgetError(f"{BUDGET_ENV}={raw!r} is not an integer") from exc
-    work = config.m * config.n * config.replicates
-    if work > budget:
-        raise BudgetError(
-            f"m * n * replicates = {work} exceeds the budget {budget}; "
-            f"raise {BUDGET_ENV} or pass force"
         )
 
 
@@ -147,21 +126,6 @@ def sample_matrix(
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"covariance window is not positive definite: {exc}") from exc
     return root @ stream.standard_normal((config.m, config.n))
-
-
-def spectral_moments(w: np.ndarray, k_max: int) -> np.ndarray:
-    """Moments (1/m) tr(W^k), k = 1..k_max, of a symmetric matrix W."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DomainError(f"need a square matrix, got shape {w.shape}")
-    scale = float(np.abs(w).max())
-    if not np.allclose(w, w.T, atol=_SYMMETRY_TOL * max(scale, 1.0), rtol=0.0):
-        raise DomainError("matrix is not symmetric")
-    try:
-        eig = np.linalg.eigvalsh(w)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return _power_means(eig, k_max)
 
 
 def _replicate_eigenvalues(config: SimConfig, replicate: int) -> np.ndarray:
@@ -199,6 +163,8 @@ def _map_replicates(per_replicate, config: SimConfig, workers: int) -> list[np.n
     One worker runs them on the caller's thread, more run them on a thread
     pool; each replicate draws from its own (seed, replicate) stream, so the
     result does not depend on the worker count."""
+    if workers < 1:
+        raise DomainError(f"need workers >= 1, got {workers}")
     if workers == 1:
         return [per_replicate(config, rep) for rep in range(config.replicates)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -278,8 +244,6 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
     count.
     """
     check_budget(config, force=force)
-    if workers < 1:
-        raise DomainError(f"need workers >= 1, got {workers}")
     start = time.monotonic()
     finite = h_finite(config.model, config.m, config.k_max)
     limit_values: tuple[float, ...] | None = None
@@ -314,21 +278,10 @@ def run_monte_carlo(config: SimConfig, workers: int = 1, force: bool = False) ->
     return MomentReport(config=config, moments=rows, runtime_seconds=time.monotonic() - start)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumSample:
-    """Eigenvalues of W for one replicate."""
-
-    replicate: int
-    eigenvalues: np.ndarray
-
-
-def sample_spectra(config: SimConfig, workers: int = 1, force: bool = False) -> list[SpectrumSample]:
-    """Eigenvalues of every replicate, in replicate order."""
+def sample_spectra(config: SimConfig, workers: int = 1, force: bool = False) -> list[np.ndarray]:
+    """The eigenvalues of W for every replicate, in replicate order."""
     check_budget(config, force=force)
-    if workers < 1:
-        raise DomainError(f"need workers >= 1, got {workers}")
-    spectra = _map_replicates(_replicate_eigenvalues, config, workers)
-    return [SpectrumSample(rep, eig) for rep, eig in enumerate(spectra)]
+    return _map_replicates(_replicate_eigenvalues, config, workers)
 
 
 @dataclass(frozen=True)
@@ -380,7 +333,7 @@ def eigenvalue_histogram(
     """Histogram of all replicate eigenvalues pooled together.  The default
     range is [0, 1.05 * max eigenvalue]."""
     spectra = sample_spectra(config, workers=workers, force=force)
-    values = np.concatenate([s.eigenvalues for s in spectra])
+    values = np.concatenate(spectra)
     if value_range is None:
         top = float(values.max())
         value_range = (0.0, 1.05 * top if top > 0 else 1.0)

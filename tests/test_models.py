@@ -3,6 +3,7 @@ moments, exact finite-(m, n) spectral moments, and sampler statistics."""
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,8 @@ from rmtlaw import (
     ParseError,
     SimConfig,
     TwoStateChain,
-    as_finite_chain,
     autocovariances,
     chain_joint_moment,
-    check_product_decay,
     covariance_matrix,
     decay_rate,
     expected_moments,
@@ -546,6 +545,11 @@ def test_chain_joint_moment_basics():
         chain_joint_moment(ts, (1, 10_001))
     with pytest.raises(BoundError):
         chain_joint_moment(ts, (0, 1))
+    # Rademacher entries are a chain on +-sqrt(var); Gaussian models have no chain form
+    assert chain_joint_moment(IIDSymmetric(variance=2.0), (1, 1, 3, 3)) == pytest.approx(4.0)
+    assert chain_joint_moment(IIDSymmetric(variance=2.0), (1, 3)) == 0.0
+    with pytest.raises(DomainError):
+        chain_joint_moment(GaussianAR1(p=0.5), (1, 2))
 
 
 def test_chain_joint_moment_against_sampler():
@@ -580,7 +584,8 @@ def brute_force_moment(model, m, n, k):
 
 
 @pytest.mark.parametrize(
-    "model", [GaussianAR1(p=0.5), TwoStateChain(alpha=0.5), three_state_chain()]
+    "model",
+    [GaussianAR1(p=0.5), TwoStateChain(alpha=0.5), three_state_chain(), IIDSymmetric(variance=2.0)],
 )
 def test_expected_moments_match_brute_force(model):
     exact = expected_moments(model, 3, 2, 4)
@@ -664,11 +669,10 @@ def test_finite_chain_validation():
 
 def test_as_finite_chain_preserves_covariance():
     ts = TwoStateChain(alpha=0.6)
-    chain = as_finite_chain(ts)
+    chain = ts.chain_form()
     assert np.allclose(autocovariances(chain, 5), autocovariances(ts, 5), atol=1e-12)
-    assert as_finite_chain(chain) is chain
-    with pytest.raises(DomainError):
-        as_finite_chain(GaussianAR1(p=0.5))
+    assert chain.chain_form() is chain
+    assert GaussianAR1(p=0.5).chain_form() is None
 
 
 def test_decay_rate():
@@ -676,31 +680,49 @@ def test_decay_rate():
     assert decay_rate(GaussianAR1(p=-0.7)) == 0.7
     assert decay_rate(TwoStateChain(alpha=0.5)) == 0.5
     # second-largest transition eigenvalue of the explicit two-state form
-    assert decay_rate(as_finite_chain(TwoStateChain(alpha=0.5))) == pytest.approx(0.5)
+    assert decay_rate(TwoStateChain(alpha=0.5).chain_form()) == pytest.approx(0.5)
+
+
+def product_decay(chain, k: int, trials: int, stream, span: int = 40):
+    """Worst ratio of |E prod a(i_j) - prod of consecutive pair covariances|
+    to sum_l rate^(gap between pair l and pair l+1), over ``trials`` sorted
+    2k-tuples drawn uniformly from 1..span, with the indices where it was
+    seen.  A zero remainder counts as ratio 0 (for k = 1 it vanishes
+    identically); a nonzero one over an empty or zero sum counts as inf."""
+    rate = decay_rate(chain)
+    # pair covariances from the same primitive as the joint moment, so the
+    # k = 1 remainder cancels exactly
+    rtab = [chain_joint_moment(chain, (1, 1 + d)) for d in range(span)]
+    max_ratio, worst = 0.0, ()
+    for _ in range(trials):
+        idx = np.sort(stream.integers(1, span + 1, size=2 * k))
+        pairs = math.prod(rtab[idx[2 * l + 1] - idx[2 * l]] for l in range(k))
+        remainder = chain_joint_moment(chain, idx) - pairs
+        if remainder == 0.0:
+            continue
+        denom = sum(rate ** float(idx[2 * l] - idx[2 * l - 1]) for l in range(1, k))
+        ratio = abs(remainder) / denom if denom > 0 else math.inf
+        if ratio > max_ratio:
+            max_ratio, worst = ratio, tuple(int(i) for i in idx)
+    return max_ratio, worst
 
 
 def test_product_decay_pair_case_vanishes():
-    report = check_product_decay(TwoStateChain(alpha=0.5), 1, 100, replicate_stream(31, 0))
-    assert report.max_ratio == 0.0
+    assert product_decay(TwoStateChain(alpha=0.5), 1, 100, replicate_stream(31, 0))[0] == 0.0
 
 
 def test_product_decay_twostate_factorizes():
     # the two-state chain's even joint moments split exactly into pair products
-    report = check_product_decay(TwoStateChain(alpha=0.5), 2, 300, replicate_stream(31, 1))
-    assert report.max_ratio == 0.0
+    assert product_decay(TwoStateChain(alpha=0.5), 2, 300, replicate_stream(31, 1))[0] == 0.0
 
 
 def test_product_decay_three_state_bounded():
     chain = three_state_chain()
     for k in (2, 3):
-        report = check_product_decay(chain, k, 300, replicate_stream(31, 2))
-        assert report.k == k and report.trials == 300
-        assert 0.0 <= report.max_ratio < 50.0
-        if report.max_ratio > 0:
-            assert list(report.worst_indices) == sorted(report.worst_indices)
-            assert len(report.worst_indices) == 2 * k
-    with pytest.raises(BoundError):
-        check_product_decay(chain, 5, 10, replicate_stream(31, 3))
+        max_ratio, worst = product_decay(chain, k, 300, replicate_stream(31, 2))
+        assert 0.0 <= max_ratio < 50.0
+        if max_ratio > 0:
+            assert list(worst) == sorted(worst) and len(worst) == 2 * k
 
 
 def test_parse_model_round_trips():
