@@ -13,6 +13,7 @@ all-PASS, 1 numeric failure or FAIL verdict, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -395,6 +396,7 @@ def cmd_nc(args: argparse.Namespace) -> int:
     raise ParseError(f"unknown nc action {args.action!r}")
 
 
+@functools.cache  # parse_args writes only to its own Namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmtlaw",

@@ -54,6 +54,14 @@ class Partition:
             raise DomainError(f"blocks must partition 1..{self.k} without repeats")
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _canonical(cls, k: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """Build without validating; the enumerators' blocks are already canonical."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "k", k)
+        object.__setattr__(p, "blocks", blocks)
+        return p
+
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -90,7 +98,7 @@ def _iter_partitions(k: int) -> Iterator[Partition]:
 
     def grow(element: int) -> Iterator[Partition]:
         if element > k:
-            yield Partition(k, tuple(tuple(b) for b in blocks))
+            yield Partition._canonical(k, tuple(tuple(b) for b in blocks))
             return
         for b in blocks:
             b.append(element)
@@ -161,7 +169,7 @@ def _nc_block_lists(seq: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...
 
 @lru_cache(maxsize=None)
 def _nc_cached(k: int) -> tuple[Partition, ...]:
-    return tuple(Partition(k, bl) for bl in _nc_block_lists(tuple(range(1, k + 1))))
+    return tuple(Partition._canonical(k, bl) for bl in _nc_block_lists(tuple(range(1, k + 1))))
 
 
 def nc_partitions(k: int) -> list[Partition]:
@@ -171,7 +179,7 @@ def nc_partitions(k: int) -> list[Partition]:
         raise BoundError(f"non-crossing enumeration supports 1 <= k <= {MAX_ENUM_K}, got {k}")
     if k <= _NC_CACHE_K:
         return list(_nc_cached(k))
-    return [Partition(k, bl) for bl in _nc_block_lists(tuple(range(1, k + 1)))]
+    return [Partition._canonical(k, bl) for bl in _nc_block_lists(tuple(range(1, k + 1)))]
 
 
 def kreweras_complement(p: Partition) -> Partition:

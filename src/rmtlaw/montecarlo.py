@@ -308,7 +308,12 @@ def _histogram_from_values(values: np.ndarray, bins: int, lo: float, hi: float) 
         raise DomainError(f"need bins >= 1, got {bins}")
     if not hi > lo:
         raise DomainError(f"need hi > lo, got [{lo}, {hi}]")
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"histogram range needs finite bounds and width, got [{lo}, {hi}]")
+    try:
+        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    except ValueError as exc:  # numpy cannot cut a range this narrow into that many bins
+        raise DomainError(f"cannot cut [{lo}, {hi}] into {bins} bins of positive width") from exc
     inside = int(counts.sum())
     width = (hi - lo) / bins
     if inside:

@@ -1,15 +1,20 @@
 """End-to-end command-line checks: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rmtlaw
 from rmtlaw import HSequence, h_szego, limiting_moment, parse_model
-from rmtlaw.cli import main
+from rmtlaw.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -454,6 +459,10 @@ def test_spectrum_bad_range(capsys):
     args = ("spectrum", "--model", "iid:", "--m", "24", "--n", "48", "--reps", "2", "--quiet")
     assert run(capsys, *args, "--range", "4:0")[0] == 2
     assert run(capsys, *args, "--range", "0-4")[0] == 2
+    # bounds or a width past the float range, and a range too narrow for its bins
+    for bad in ("0:inf", "-inf:0", "0:1e309", "-1e308:1e308", "1:1.0000000000000002"):
+        code, out, err = run(capsys, *args, f"--range={bad}")
+        assert (code, out) == (2, "") and err.startswith("rmtlaw: ")
 
 
 def test_nc_enumerate(capsys):
@@ -574,3 +583,143 @@ def test_out_flag_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert len(json.loads(path.read_text())["rows"]) == 4
+
+
+SRC = str(Path(rmtlaw.__file__).resolve().parents[1])
+
+# each pair of neighbours would leak state through a shared parser: a default
+# overwritten by the call before, an output format, an argparse error exit,
+# and the worker count
+REPEATED_CALLS = [
+    ("predict", "--model", "ar1:p=0.5", "--y", "0.5", "--kmax", "6"),
+    ("predict", "--model", "ar1:p=0.5", "--y", "0.5"),
+    ("predict", "--model", "ar1:p=0.5", "--y", "0.5", "--format", "csv"),
+    ("predict", "--model", "ar1:p=0.5", "--y", "0.5"),
+    ("predict", "--y", "x"),
+    ("predict", "--model", "ar1:p=0.5", "--y", "0.5"),
+    ("simulate", "--model", "ar1:p=0.5", "--m", "6", "--n", "8", "--reps", "2", "--workers", "1"),
+    ("simulate", "--model", "ar1:p=0.5", "--m", "6", "--n", "8", "--reps", "2", "--workers", "0"),
+]
+
+
+def fresh_run(argv):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rmtlaw", *argv], capture_output=True, text=True, env=env, check=False
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def without_runtime(argv, out):
+    # a simulate report carries its own wall time; everything else must match
+    if argv[0] != "simulate" or not out:
+        return out
+    doc = json.loads(out)
+    doc.pop("runtime_seconds")
+    return doc
+
+
+def test_repeated_main_calls_print_what_fresh_processes_print(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage-text width on both sides
+    assert build_parser() is build_parser()
+    fresh, outs = {}, []
+    for argv in REPEATED_CALLS:
+        argv = (*argv, "--quiet")
+        code, out, err = run(capsys, *argv)
+        if argv not in fresh:
+            fresh[argv] = fresh_run(argv)
+        want_code, want_out, want_err = fresh[argv]
+        assert (code, without_runtime(argv, out), err) == (
+            want_code, without_runtime(argv, want_out), want_err
+        ), argv
+        outs.append((code, out))
+    assert len(json.loads(outs[1][1])["rows"]) == 4
+    assert outs[4][0] == 2
+
+
+FUZZ_TRACES = ["1,2,5", "1", "1e200,1e200,1e200", "nan,1", "1,-1", ",", "1,x"]
+FUZZ_VALUES = {
+    "--model": st.sampled_from(["ar1:p=0.5", "ar1:p=-0.3", "twostate:alpha=0.4", "iid:",
+                                "iid:dist=rademacher,var=2", "ar1:p=0.97", "ar1:", "bogus:x=1",
+                                "chain:file=chain.json", "chain:file=missing.json"]),
+    "--h": st.sampled_from(FUZZ_TRACES),
+    "--htilde": st.sampled_from(FUZZ_TRACES),
+    "--y": st.sampled_from(["0.5", "1", "2", "0", "-1", "nan", "inf", "1e-300"]),
+    "--kmax": st.integers(-1, 8),
+    "--m": st.integers(-1, 8),
+    "--n": st.integers(-1, 8),
+    "--reps": st.integers(-1, 3),
+    "--seed": st.integers(-2, 5),
+    "--mode": st.sampled_from(["direct", "remark1", "other"]),
+    "--workers": st.integers(-1, 2),
+    "--format": st.sampled_from(["json", "csv", "text", "xml"]),
+    "--out": st.sampled_from(["out.txt", "missing/out.txt"]),
+    "--bins": st.integers(-1, 64),
+    "--range": st.sampled_from(["0:4", "4:0", "0:inf", "-inf:0", "0:1e309", "-1e308:1e308",
+                                "1:1.0000000000000002", "0-4", "nan:1", "a:b"]),
+    "--k": st.integers(-1, 8),
+    "--blocks": st.sampled_from(["1,2,4|3|5", "1,3|2,4", "1,2|3", "", "1,,2", "x", "1|1"]),
+    "--sizes": st.sampled_from(["1:1,2:2", "4:1", "3:1", "4-1", "1:-1", "x:y", "1:1,1:1"]),
+    "--force": st.none(),
+    "--quiet": st.none(),
+}
+SIM_FLAGS = ["--model", "--m", "--n", "--reps", "--kmax", "--seed", "--mode", "--workers", "--force",
+             "--quiet"]
+FUZZ_FLAGS = {
+    "predict": ["--model", "--h", "--htilde", "--y", "--kmax", "--format", "--out", "--quiet"],
+    "simulate": SIM_FLAGS + ["--out"],
+    "compare": SIM_FLAGS + ["--y", "--format", "--out"],
+    "spectrum": SIM_FLAGS + ["--bins", "--range", "--format", "--out"],
+    "nc": ["--k", "--blocks", "--sizes", "--format", "--out", "--quiet"],
+}
+# drawn first, each three times in four, so that some calls get past argparse
+FUZZ_REQUIRED = {"predict": ["--y", "--model"], "simulate": ["--model"], "compare": ["--model"],
+                 "spectrum": ["--model", "--range"], "nc": ["--k", "--blocks", "--sizes"]}
+FUZZ_JUNK = ["", "-", "--", "x", "-1", "nan", "--nope", "-h", "--help", "0:inf", "\u00fc", "predict",
+             "--y", "report.json", "missing.json"]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand (or junk) followed by real flags, with values drawn from
+    valid and invalid ones, and junk tokens in between.  Simulating
+    subcommands get a tiny shape first, so the defaults never run."""
+    sub = draw(st.sampled_from([*FUZZ_FLAGS, "bogus"]))
+    argv = [sub]
+    if sub == "nc":
+        argv.append(draw(st.sampled_from(["enumerate", "complement", "count", "graphs", "x"])))
+    if sub in ("simulate", "compare", "spectrum"):
+        argv += ["--m", "4", "--n", "6", "--reps", "2"]
+    flags = [f for f in FUZZ_REQUIRED.get(sub, []) if draw(st.integers(0, 3))]
+    everywhere = list(FUZZ_VALUES)
+    pick = st.sampled_from(FUZZ_FLAGS.get(sub, everywhere)) | st.sampled_from(everywhere)
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            flags.append(draw(st.sampled_from(FUZZ_JUNK)))
+        else:
+            flags.append(draw(pick))
+    for flag in flags:
+        value = draw(FUZZ_VALUES[flag]) if flag in FUZZ_VALUES else None
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):  # the only way to pass a value such as -inf:0
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exits_cleanly(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "report.json").exists():
+        write_chain(tmp_path / "chain.json", [-1.0, 1.0], [[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5])
+        assert run(capsys, "simulate", *SIM_ARGS[:2], "--m", "4", "--n", "6", "--reps", "2",
+                   "--out", "report.json", "--quiet")[0] == 0
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""

@@ -127,6 +127,17 @@ def test_nc_counts_match_catalan_recurrence():
         assert len(nc_partitions(k)) == catalans[k - 1]
 
 
+def test_enumerated_partitions_are_canonical():
+    # the enumerators skip validation, so each partition must already be in
+    # the form the validating constructor would give it
+    for k in range(1, 11):
+        for p in nc_partitions(k):
+            assert Partition(k, p.blocks) == p
+    for k in range(1, 9):
+        for p in enumerate_partitions(k):
+            assert Partition(k, p.blocks) == p
+
+
 def test_nc_enumeration_equals_filtered_lattice():
     for k in range(1, 8):
         direct = set(nc_partitions(k))
